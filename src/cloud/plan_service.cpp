@@ -96,6 +96,10 @@ ServiceStats PlanService::Shard::snapshot() const {
 
 PlanService::CacheKey PlanService::key_for(Seconds depart_time) const {
   const double depart_time_s = depart_time.value();  // .value() seam
+  // Rejected before any lookup or counter: a NaN time would otherwise bin
+  // arbitrarily and reach the arrival-rate provider.
+  if (!std::isfinite(depart_time_s))
+    throw std::invalid_argument("PlanService: request time must be finite");
   double phase = 0.0;
   if (hyperperiod_s_ > 0.0) {
     phase = std::fmod(depart_time_s, hyperperiod_s_);
@@ -108,8 +112,11 @@ PlanService::CacheKey PlanService::key_for(Seconds depart_time) const {
 }
 
 PlanService::CacheKey PlanService::replan_key_for(const ReplanRequest& request) const {
-  if (request.position_m < 0.0 || request.position_m >= planner_.corridor().length())
+  // Written so that NaN fails the range check instead of passing it.
+  if (!(request.position_m >= 0.0 && request.position_m < planner_.corridor().length()))
     throw std::invalid_argument("PlanService::request_replan: position outside the corridor");
+  if (!std::isfinite(request.speed_ms))
+    throw std::invalid_argument("PlanService::request_replan: speed must be finite");
 
   // Segment-memo quantization: snap the state to its bin's grid point. Every
   // request in the bin is served the canonical state's plan (misses solve it,
@@ -350,59 +357,15 @@ std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& i
     }
   }
 
-  // Phase B - leader solves. Two or more leaders dispatch as ONE batched
-  // run: distinct keys mean distinct solver inputs, and solve_dp_batch packs
-  // the compatible ones into SoA lanes (full-trip misses across phase bins
-  // share a grid; replan misses from the same layer do too). A single leader
-  // keeps the plain serve path, which warm-starts from the workspace pool.
-  // Every elected leader reaches an epilogue here - publish or error - so
-  // followers (ours in phase C, or in concurrent calls) can never hang.
-  if (leaders.size() >= 2) {
-    std::vector<core::PlanJob> jobs;
-    jobs.reserve(leaders.size());
-    const double dv = planner_.config().resolution.dv_ms;
-    for (const PendingGroup& pending : leaders) {
-      const BatchItem& lead = items[groups[pending.group].front()];
-      core::PlanJob job;
-      job.replan = lead.replan;
-      job.depart_time_s = lead.time_s;
-      if (lead.replan) {
-        // The canonical grid state, exactly as solve_miss submits it.
-        job.position_m = static_cast<double>(lead.key.layer) * grid_ds_m_;
-        job.speed_ms = static_cast<double>(lead.key.vlevel) * dv;
-      }
-      jobs.push_back(job);
-    }
-    std::vector<core::PlanBatchResult> results;
-    try {
-      const telemetry::TraceSpan solve_span(*batch_solve_ns_, "plan_service.batch_solve");
-      results = planner_.plan_batch(jobs, arrivals_);
-    } catch (...) {
-      // Batch infrastructure failure (not a per-job error): every leader's
-      // flight gets the error so no follower hangs, then it propagates.
-      for (PendingGroup& pending : leaders) {
-        const BatchItem& lead = items[groups[pending.group].front()];
-        publish_leader_error(lead.key, pending.state, std::current_exception());
-      }
-      throw;
-    }
-    for (std::size_t n = 0; n < leaders.size(); ++n) {
-      PendingGroup& pending = leaders[n];
-      const BatchItem& lead = items[groups[pending.group].front()];
-      if (results[n].error) {
-        publish_leader_error(lead.key, pending.state, results[n].error);
-        if (!first_error) first_error = results[n].error;
-      } else {
-        lead_ticket[pending.group] = publish_leader_result(
-            lead.key, pending.state, lead.vehicle_id, Seconds(lead.time_s),
-            std::make_shared<const core::PlannedProfile>(std::move(*results[n].profile)));
-      }
-    }
-  } else if (leaders.size() == 1) {
-    PendingGroup& pending = leaders.front();
+  // Phase B - leader solves, one at a time through solve_miss: the pooled,
+  // warm-startable single-solve path. Each result is published the moment
+  // its solve finishes, so its followers (in phase C here, or in concurrent
+  // calls) stop waiting then, not when the last leader is done. Every
+  // elected leader reaches an epilogue - publish or error - so followers can
+  // never hang, and a failed solve fails only its own group.
+  const auto solve_leader = [&](PendingGroup& pending) {
     const BatchItem& lead = items[groups[pending.group].front()];
     try {
-      const telemetry::TraceSpan ticket_span(*ticket_latency_ns_, "plan_service.ticket");
       auto profile = std::make_shared<const core::PlannedProfile>(solve_miss(lead));
       lead_ticket[pending.group] = publish_leader_result(lead.key, pending.state,
                                                          lead.vehicle_id, Seconds(lead.time_s),
@@ -411,6 +374,13 @@ std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& i
       publish_leader_error(lead.key, pending.state, std::current_exception());
       if (!first_error) first_error = std::current_exception();
     }
+  };
+  if (leaders.size() >= 2) {
+    const telemetry::TraceSpan solve_span(*batch_solve_ns_, "plan_service.batch_solve");
+    for (PendingGroup& pending : leaders) solve_leader(pending);
+  } else if (leaders.size() == 1) {
+    const telemetry::TraceSpan ticket_span(*ticket_latency_ns_, "plan_service.ticket");
+    solve_leader(leaders.front());
   }
 
   // Phase C - followers: their leaders run in concurrent serve calls (our

@@ -168,7 +168,9 @@ class PlanService {
   ~PlanService();
 
   /// Computes or serves a plan. Thread-safe; see the single-flight notes in
-  /// the header comment.
+  /// the header comment. Throws std::invalid_argument for a non-finite
+  /// departure time, before any lookup or counter (the batch entry points
+  /// likewise reject the whole batch uncounted).
   PlanResponse request_plan(const PlanRequest& request);
 
   /// Serves a whole batch, fanning same-shard groups across the service's
@@ -179,7 +181,8 @@ class PlanService {
 
   /// Computes or serves a replan for a mid-route vehicle state. The returned
   /// profile starts at the state's grid point in corridor coordinates.
-  /// Throws std::invalid_argument for positions outside the corridor. Same
+  /// Throws std::invalid_argument for positions outside the corridor and for
+  /// a non-finite position, speed or time, before any lookup. Same
   /// single-flight and caching behavior as request_plan, over the segment
   /// memo keyed by quantized (position layer, velocity level, cycle offset,
   /// demand) - see the header comment.
@@ -337,11 +340,15 @@ class PlanService {
   /// The solve a miss of `item` runs (full plan or canonical-grid replan).
   core::PlannedProfile solve_miss(const BatchItem& item);
   /// Cross-request batch dispatch: groups same-key items, admits each
-  /// group's first member through the single-flight path, solves all
-  /// admitted leaders as ONE batched run (core/dp_batch.hpp packs
-  /// compatible solver runs into SoA lanes), then publishes results and
-  /// derives every other member's ticket from its group leader's (one cache
-  /// transaction per group).
+  /// group's first member through the single-flight path, then solves the
+  /// admitted leaders one at a time through solve_miss (the pooled,
+  /// warm-startable single-solve path), publishing each result as soon as
+  /// its solve finishes, and derives every other member's ticket from its
+  /// group leader's (one cache transaction per group). Leaders are not
+  /// packed into one SoA sweep (core/dp_batch.hpp): replayed on the fleet
+  /// benchmark, that sweep was only 1.10x faster than pooled single solves
+  /// on miss_storm and 0.83x on rolling_horizon, short of the 1.3x it needed,
+  /// and single solves can warm-start and publish early.
   std::vector<PlanTicket> serve_batch(const std::vector<BatchItem>& items);
   std::vector<PlanResponse> materialize_all(std::vector<PlanTicket> tickets);
   common::ThreadPool* batch_pool();
@@ -362,8 +369,8 @@ class PlanService {
   /// same-key group sizes the batch path coalesces.
   telemetry::Histogram* ticket_latency_ns_ = nullptr;
   telemetry::Histogram* batch_group_size_ = nullptr;
-  /// Duration of the batched leader solve in serve_batch (covers the whole
-  /// plan_batch call: grouping, SoA sweeps, ragged fallbacks).
+  /// Duration of serve_batch's leader solves when it elects two or more
+  /// (covers the whole loop of single solves and their publishes).
   telemetry::Histogram* batch_solve_ns_ = nullptr;
 
   mutable common::Mutex pool_mutex_{common::LockRank::kServiceBatchPool};

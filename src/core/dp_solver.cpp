@@ -32,6 +32,35 @@ using detail::pred_k;
 
 constexpr float kInf = detail::kDpInf;
 
+/// Masked compare-exchange of W consecutive cells (the vector form of the
+/// scalar strict-< relaxation): each lane in `lanes` whose candidate cost
+/// beats its cell takes (cost, arrival, backpointer); every other cell is
+/// written back as it was, so all W cells must lie in a row the caller owns.
+inline void compare_exchange(float* cost, float* time, std::uint32_t* back,
+                             common::simd::MaskF lanes, common::simd::VecF cand,
+                             common::simd::VecF arrive, common::simd::VecI32 pred) {
+  namespace sd = common::simd;
+  const sd::VecF cur = sd::VecF::load(cost);
+  const sd::MaskF take = sd::mask_and(lanes, sd::cmp_lt(cand, cur));
+  sd::select(take, cand, cur).store(cost);
+  sd::select(take, arrive, sd::VecF::load(time)).store(time);
+  auto* back_i = reinterpret_cast<std::int32_t*>(back);
+  sd::select(take, pred, sd::VecI32::load(back_i)).store(back_i);
+}
+
+/// Smallest float `a` for which `holds(a)` is true, where `holds` is
+/// monotone in `a` (false below a threshold, true from it on). An exact
+/// ulp-walk from `seed`, a rounded guess of the threshold, so it takes a few
+/// steps. Returns +inf when no finite float satisfies `holds`.
+template <typename Pred>
+float least_float_where(float seed, Pred holds) {
+  constexpr float kFInf = std::numeric_limits<float>::infinity();
+  float t = std::isnan(seed) ? kFInf : seed;
+  while (t < kFInf && !holds(t)) t = std::nextafterf(t, kFInf);
+  for (float p = std::nextafterf(t, -kFInf); holds(p); p = std::nextafterf(t, -kFInf)) t = p;
+  return t;
+}
+
 }  // namespace
 
 void DpResolution::validate() const {
@@ -42,6 +71,8 @@ void DpResolution::validate() const {
 
 void DpProblem::validate() const {
   if (!route || !energy) throw std::invalid_argument("DpProblem: route and energy model required");
+  if (!std::isfinite(depart_time.value()))
+    throw std::invalid_argument("DpProblem: departure time must be finite");
   resolution.validate();
   penalty.validate();
 }
@@ -233,6 +264,9 @@ class DpEngine {
   /// the horizon (see run()); lets the vector kernel do the horizon check as
   /// a single float compare.
   float over_thresh_f_ = std::numeric_limits<float>::infinity();
+  /// bin_edge_[k]: smallest float arrival whose time bin is >= k, for
+  /// k in [0, n_t] (see run()); built only when the vector kernel runs.
+  std::vector<float> bin_edge_;
   std::vector<const LayerEvent*> event_at_;
   /// Last layer whose crossing is checked against enforced windows; states
   /// strictly past it face only time-independent costs, enabling dominance
@@ -301,22 +335,34 @@ std::optional<DpSolution> DpEngine::run(std::size_t first_relax) {
 
   use_simd_ = common::simd::kHasSimd && res_.simd;
 
-  // Exact float image of the horizon test. The scalar relaxation checks
-  // `(double)arrive - depart >= horizon`; that predicate is monotone in the
-  // float `arrive`, so it equals `arrive >= T` for the smallest float T that
-  // satisfies it. The vector kernel then tests the horizon with one float
-  // compare and no widening, bit-identically. T is found by an exact
-  // ulp-walk from the rounded seed (at most a few steps).
+  // Exact float images of the horizon test and of the time binning. The
+  // scalar relaxation checks `(double)arrive - depart >= horizon` and bins
+  // with `(size_t)(((double)arrive - depart) * inv_dt)` (or `/ dt`). Both are
+  // monotone in the float `arrive`, so each threshold is the smallest float
+  // that reaches it: the horizon test is `arrive >= over_thresh_f_`, and the
+  // bin is k exactly when bin_edge_[k] <= arrive < bin_edge_[k + 1]. The
+  // vector kernel then tests and bins with float compares alone,
+  // bit-identically. Bin k >= 1 is reached iff the quotient is >= k; edge 0
+  // asks for a quotient >= 0 (tighter than trunc's > -1), which is only ever
+  // used as a lower bound, and arrivals never precede the departure.
   {
     const double depart = problem_.depart_time.value();
     const double horizon = res_.horizon_s;
-    const auto over = [&](float a) { return static_cast<double>(a) - depart >= horizon; };
-    constexpr float kFInf = std::numeric_limits<float>::infinity();
-    float t = static_cast<float>(horizon + depart);
-    if (std::isnan(t)) t = kFInf;
-    while (!over(t)) t = std::nextafterf(t, kFInf);
-    for (float p = std::nextafterf(t, -kFInf); over(p); p = std::nextafterf(t, -kFInf)) t = p;
-    over_thresh_f_ = t;
+    const double dt_s = res_.dt_s;
+    const double inv_dt = inv_dt_;
+    over_thresh_f_ = least_float_where(static_cast<float>(horizon + depart), [&](float a) {
+      return static_cast<double>(a) - depart >= horizon;
+    });
+    if (use_simd_) {
+      bin_edge_.resize(n_t_ + 1);
+      for (std::size_t k = 0; k <= n_t_; ++k) {
+        const auto kd = static_cast<double>(k);
+        bin_edge_[k] = least_float_where(static_cast<float>(depart + kd * dt_s), [&](float a) {
+          const double elapsed = static_cast<double>(a) - depart;
+          return (inv_dt != 0.0 ? elapsed * inv_dt : elapsed / dt_s) >= kd;
+        });
+      }
+    }
   }
 
   smooth_by_diff_.resize(n_v_);
@@ -566,6 +612,7 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
   std::size_t relaxations = 0;
   std::size_t simd_chunks = 0;       // vector iterations taken this stripe
   std::size_t simd_lanes_used = 0;   // lanes that survived the stop mask
+  std::size_t fast_chunks = 0;       // chunks binned by the edge table
 
   // Loop invariants of the vector kernel, hoisted: rows can be short, so
   // per-hop setup cost is visible. (Cheap no-ops on the scalar backend.)
@@ -574,7 +621,9 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
   constexpr auto Dw = static_cast<std::uint32_t>(sd::VecD::kWidth);
   constexpr unsigned full = (1u << W) - 1u;
   const bool vec_path = use_simd_ && !check_windows;
+  const bool fast_path = vec_path && !is_sign;
   const bool use_inv = inv_dt != 0.0;
+  const std::uint32_t* const src_pred = ws_.src_pred_.data();
   const sd::VecF v_thresh = sd::VecF::broadcast(over_thresh_f_);
   const sd::VecD v_depart = sd::VecD::broadcast(depart);
   const sd::VecD v_scale = sd::VecD::broadcast(use_inv ? inv_dt : dt_s);
@@ -604,16 +653,20 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
       if (vec_path) {
         // Vector relaxation, kWidth sources per step. Every arithmetic step
         // is the scalar sequence applied lane-wise (float add for the
-        // arrival, the exact float image of the horizon test, widen-to-double
-        // subtract for the elapsed time, the same *inv_dt-or-/dt binning,
-        // float add for the candidate cost), and the strict-< scatter below
-        // runs scalar in ascending source order, so tie-breaking, stats, and
-        // tables match the scalar path bit for bit.
+        // arrival, the exact float image of the horizon test, float add for
+        // the candidate cost), and each chunk is binned and scattered by one
+        // of two routes that both reproduce the scalar strict-< relaxation
+        // in ascending source order, so tie-breaking, stats, and tables match
+        // the scalar path bit for bit.
         const sd::VecF v_hop_dt = sd::VecF::broadcast(hop.dt);
         const sd::VecF v_fused = sd::VecF::broadcast(fused);
         float* crow = cost + j2 * n_t_;
         float* trow = time + j2 * n_t_;
         std::uint32_t* brow = back + j2 * n_t_;
+        // Whole-bin shift of the hop: a source in bin k usually lands in bin
+        // k + shift or k + shift + 1. A guess only; the lanes verify it.
+        const auto shift = static_cast<std::size_t>(use_inv ? static_cast<double>(hop.dt) * inv_dt
+                                                            : static_cast<double>(hop.dt) / dt_s);
         const std::uint32_t row_end = ws_.row_begin_[j + 1];
         for (std::uint32_t s = ws_.row_begin_[j]; s < row_end; s += W) {
           const auto n = std::min<std::uint32_t>(W, row_end - s);
@@ -621,13 +674,53 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
           // past the last row, and interior rows are followed by real data.
           const sd::VecF arrive = sd::VecF::load(ws_.src_time_.data() + s) + v_hop_dt;
           const auto over = static_cast<unsigned>(sd::movemask(sd::cmp_ge(arrive, v_thresh)));
+          const sd::VecF cand = sd::VecF::load(ws_.src_cost_.data() + s) + v_fused;
+          ++simd_chunks;
+          // Edge-table route. It applies when the chunk is full, no lane is
+          // over the horizon, the sources sit in consecutive bins k0 + l
+          // (same row, so packed backpointers differ by the bin alone), and
+          // every lane lands in bin b + l or b + l + 1 with b = k0 + shift,
+          // i.e. edge[b + l] <= arrive < edge[b + l + 2]. Lane l then
+          // targets cell b + l + up_l, so two lanes can share a cell only
+          // when an up lane l meets a not-up lane l + 1. Exchanging the up
+          // lanes first and the rest second therefore replays the scalar
+          // source order exactly. Both passes stay inside [b, b + W] of this
+          // stripe's own row, hence the b + 1 + W <= n_t bound.
+          if (fast_path && n == W && over == 0 && src_pred[s + W - 1] - src_pred[s] == W - 1) {
+            const std::size_t b = pred_k(src_pred[s]) + shift;
+            if (b + 1 + W <= n_t_) {
+              const float* edge = bin_edge_.data() + b;
+              const sd::MaskF in = sd::mask_and(sd::cmp_ge(arrive, sd::VecF::load(edge)),
+                                                sd::cmp_lt(arrive, sd::VecF::load(edge + 2)));
+              if (static_cast<unsigned>(sd::movemask(in)) == full) {
+                const sd::MaskF up = sd::cmp_ge(arrive, sd::VecF::load(edge + 1));
+                const auto up_bits = static_cast<unsigned>(sd::movemask(up));
+                const sd::VecI32 pred =
+                    sd::VecI32::load(reinterpret_cast<const std::int32_t*>(src_pred + s));
+                if (up_bits != 0) {
+                  compare_exchange(crow + b + 1, trow + b + 1, brow + b + 1, up, cand, arrive,
+                                   pred);
+                }
+                if (up_bits != full) {
+                  compare_exchange(crow + b, trow + b, brow + b, sd::mask_andnot(in, up), cand,
+                                   arrive, pred);
+                }
+                relaxations += W;
+                simd_lanes_used += W;
+                ++fast_chunks;
+                continue;
+              }
+            }
+          }
+          // Exact route: widen-to-double subtract for the elapsed time, the
+          // same *inv_dt-or-/dt binning, and a scalar scatter in source order.
           const sd::VecD e_lo = sd::widen_low(arrive) - v_depart;
           const sd::VecD e_hi = sd::widen_high(arrive) - v_depart;
           const sd::VecD k_lo = use_inv ? e_lo * v_scale : e_lo / v_scale;
           const sd::VecD k_hi = use_inv ? e_hi * v_scale : e_hi / v_scale;
           sd::trunc_store_i32(k_lo, k2_buf);
           sd::trunc_store_i32(k_hi, k2_buf + Dw);
-          (sd::VecF::load(ws_.src_cost_.data() + s) + v_fused).store(cost_buf);
+          cand.store(cost_buf);
           arrive.store(arrive_buf);
           // Lanes beyond the row (n < W) count as stopped; processing halts
           // at the first over-horizon or out-of-row lane, exactly where the
@@ -642,11 +735,10 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
             if (new_cost < crow[k2]) {
               crow[k2] = new_cost;
               trow[k2] = arrive_buf[l];
-              brow[k2] = ws_.src_pred_[s + l];
+              brow[k2] = src_pred[s + l];
             }
           }
           relaxations += n_ok;
-          ++simd_chunks;
           simd_lanes_used += n_ok;
           if (n_ok < W) break;
         }
@@ -689,8 +781,10 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
   if (simd_chunks != 0) {
     static telemetry::Counter& lanes_used_ctr = telemetry::counter("dp.simd_lanes_used");
     static telemetry::Counter& lanes_cap_ctr = telemetry::counter("dp.simd_lanes_capacity");
+    static telemetry::Counter& fast_chunks_ctr = telemetry::counter("dp.relax.fast_chunks");
     lanes_used_ctr.add(static_cast<long>(simd_lanes_used));
     lanes_cap_ctr.add(static_cast<long>(simd_chunks * W));
+    fast_chunks_ctr.add(static_cast<long>(fast_chunks));
   }
 }
 

@@ -36,12 +36,21 @@
 //    destination rows and scans source states, so no two threads ever write
 //    the same cell and results are bit-identical at every thread count.
 //  - SIMD relaxation: away from enforced signal windows the inner source
-//    scan runs VecF::kWidth states per step (common/simd.hpp) - the arrival
-//    time, horizon test, time binning, and candidate cost are computed
-//    lane-wise with exactly the scalar operation sequence, and the strict-<
-//    scatter stays scalar in source order, so the solve (tables, stats,
-//    ties) is bit-identical to the scalar path. DpResolution::simd toggles
-//    the kernel at runtime for differential checking.
+//    scan runs VecF::kWidth states per step (common/simd.hpp). The arrival
+//    time, horizon test, and candidate cost are computed lane-wise with
+//    exactly the scalar operation sequence. A full chunk whose sources sit
+//    in consecutive time bins is binned by float compares against a
+//    per-solve bin-edge table (edge k = the smallest float arrival whose
+//    double-precision bin is >= k) and stored by two masked vector
+//    compare-exchanges: first the lanes that landed one bin further up,
+//    then the rest. Only an up lane l and a not-up lane l + 1 can share a
+//    cell, so that order replays the scalar source order. Every other chunk
+//    (ragged, over the horizon, non-consecutive, a lane off the expected
+//    pair of bins, or a stop-sign layer) takes the exact route: double
+//    binning and a scalar strict-< scatter in source order. Either way the
+//    solve (tables, stats, ties) is bit-identical to the scalar path.
+//    DpResolution::simd toggles the kernel at runtime for differential
+//    checking.
 #pragma once
 
 #include <cstdint>

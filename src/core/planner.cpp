@@ -7,7 +7,6 @@
 #include "common/math_util.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_pool.hpp"
-#include "core/dp_batch.hpp"
 #include "core/dp_common.hpp"
 #include "core/dp_replan.hpp"
 #include "core/workspace_pool.hpp"
@@ -61,6 +60,9 @@ namespace {
 std::vector<LayerEvent> build_events_for(
     const road::Corridor& corridor, const PlannerConfig& config, double depart_time_s,
     const std::shared_ptr<const traffic::ArrivalRateProvider>& arrivals) {
+  // Before the arrival-rate provider and the T_q windows ever see it.
+  if (!std::isfinite(depart_time_s))
+    throw std::invalid_argument("VelocityPlanner: departure time must be finite");
   const road::Route& route = corridor.route;
   const auto n_hops = static_cast<std::size_t>(
       std::max(1.0, std::round(route.length() / config.resolution.ds_m)));
@@ -195,8 +197,11 @@ PlannedProfile VelocityPlanner::replan(
   const double position_m = position.value();  // .value() seam
   const double speed_ms = speed.value();
   const double time_s = time.value();
-  if (position_m < 0.0 || position_m >= corridor_.length())
+  // Written so that NaN fails the range check instead of passing it.
+  if (!(position_m >= 0.0 && position_m < corridor_.length()))
     throw std::invalid_argument("VelocityPlanner::replan: position outside the corridor");
+  if (!std::isfinite(speed_ms) || !std::isfinite(time_s))
+    throw std::invalid_argument("VelocityPlanner::replan: speed and time must be finite");
   road::Corridor rest = road::corridor_suffix(corridor_, position_m);
   // Elements closer than one grid step count as already passed (they would
   // otherwise snap to the boundary layer).
@@ -215,68 +220,6 @@ PlannedProfile VelocityPlanner::replan(
   if (!solution.has_value())
     throw std::runtime_error("VelocityPlanner::replan: no feasible trajectory within the horizon");
   return solution->profile.shifted(position_m);
-}
-
-std::vector<PlanBatchResult> VelocityPlanner::plan_batch(
-    std::span<const PlanJob> jobs,
-    std::shared_ptr<const traffic::ArrivalRateProvider> arrivals) const {
-  std::vector<PlanBatchResult> out(jobs.size());
-
-  // Problem construction mirrors plan()/replan() exactly (same validation,
-  // same error text), with per-job failures captured instead of thrown.
-  // DpProblem.route points into its corridor's Route, so replan suffixes are
-  // heap-owned to keep the pointers stable across the whole batch.
-  std::vector<std::unique_ptr<road::Corridor>> suffixes;
-  std::vector<DpProblem> problems;
-  std::vector<std::size_t> job_of;  // problems index -> jobs index
-  problems.reserve(jobs.size());
-  job_of.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const PlanJob& job = jobs[i];
-    try {
-      if (!job.replan) {
-        problems.push_back(
-            make_problem(corridor_.route, energy_, config_, job.depart_time_s,
-                         build_events_for(corridor_, config_, job.depart_time_s, arrivals)));
-      } else {
-        if (job.position_m < 0.0 || job.position_m >= corridor_.length())
-          throw std::invalid_argument("VelocityPlanner::replan: position outside the corridor");
-        auto rest = std::make_unique<road::Corridor>(
-            road::corridor_suffix(corridor_, job.position_m));
-        const double too_close = config_.resolution.ds_m * 1.5;
-        std::erase_if(rest->lights,
-                      [&](const road::TrafficLight& l) { return l.position() < too_close; });
-        std::erase_if(rest->stop_signs,
-                      [&](const road::StopSign& s) { return s.position_m < too_close; });
-        DpProblem problem =
-            make_problem(rest->route, energy_, config_, job.depart_time_s,
-                         build_events_for(*rest, config_, job.depart_time_s, arrivals));
-        problem.initial_speed =
-            MetersPerSecond(clamp(job.speed_ms, 0.0, rest->route.speed_limit_at(0.0)));
-        suffixes.push_back(std::move(rest));
-        problems.push_back(std::move(problem));
-      }
-      job_of.push_back(i);
-    } catch (...) {
-      out[i].error = std::current_exception();
-    }
-  }
-
-  common::ThreadPool* pool = runtime_->pool_for(config_.resolution.threads);
-  std::vector<std::optional<DpSolution>> solutions =
-      solve_dp_batch(problems, runtime_->workspaces, pool);
-  for (std::size_t p = 0; p < problems.size(); ++p) {
-    const std::size_t i = job_of[p];
-    if (!solutions[p].has_value()) {
-      out[i].error = std::make_exception_ptr(std::runtime_error(
-          jobs[i].replan ? "VelocityPlanner::replan: no feasible trajectory within the horizon"
-                         : "VelocityPlanner: no feasible trajectory within the horizon"));
-      continue;
-    }
-    out[i].profile = jobs[i].replan ? solutions[p]->profile.shifted(jobs[i].position_m)
-                                    : std::move(solutions[p]->profile);
-  }
-  return out;
 }
 
 }  // namespace evvo::core

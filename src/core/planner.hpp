@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 
 #include "common/units.hpp"
 #include "core/dp_solver.hpp"
@@ -28,24 +27,6 @@ enum class SignalPolicy {
 };
 
 const char* signal_policy_name(SignalPolicy policy);
-
-/// One job of a batched solve (VelocityPlanner::plan_batch): either a full
-/// trip departing at `depart_time_s` or a mid-route replan from
-/// (`position_m`, `speed_ms`) at that time.
-struct PlanJob {
-  bool replan = false;
-  double depart_time_s = 0.0;
-  double position_m = 0.0;  ///< replan only: corridor coordinate
-  double speed_ms = 0.0;    ///< replan only: current speed
-};
-
-/// Per-job outcome of plan_batch: exactly one of `profile`/`error` is set.
-/// `error` carries what the corresponding plan()/replan() call would have
-/// thrown (invalid position, infeasible horizon, ...).
-struct [[nodiscard]] PlanBatchResult {
-  std::optional<PlannedProfile> profile;
-  std::exception_ptr error;
-};
 
 struct PlannerConfig {
   DpResolution resolution{};
@@ -91,7 +72,8 @@ class VelocityPlanner {
       Seconds depart_time, std::shared_ptr<const traffic::ArrivalRateProvider> arrivals) const;
 
   /// Plans the full trip (source and destination at rest, Eq. 7d). Throws
-  /// std::runtime_error if no feasible trajectory exists within the horizon.
+  /// std::runtime_error if no feasible trajectory exists within the horizon,
+  /// std::invalid_argument for a non-finite departure time.
   [[nodiscard]] PlannedProfile plan(Seconds depart_time,
                       std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;
 
@@ -104,22 +86,11 @@ class VelocityPlanner {
   /// the corridor, current speed (snapped to the velocity grid), current
   /// time. The returned profile is expressed in the original corridor
   /// coordinates (it starts at `position_m`). Regulatory elements within one
-  /// grid step of the position are treated as already passed.
+  /// grid step of the position are treated as already passed. Throws
+  /// std::invalid_argument for a position off the corridor or a non-finite
+  /// position, speed or time.
   [[nodiscard]] PlannedProfile replan(Meters position, MetersPerSecond speed, Seconds time,
                         std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;
-
-  /// Solves many independent jobs in one pass, batching compatible solver
-  /// runs through the SoA multi-scenario kernel (core/dp_batch.hpp): jobs
-  /// sharing a grid shape and event skeleton - e.g. full-trip plans at
-  /// different departure times, or replans from the same layer - pack K per
-  /// vector sweep. Results are in job order and each lane is bit-identical
-  /// to the corresponding plan()/replan() call; per-job failures surface in
-  /// PlanBatchResult::error instead of throwing, so one bad job cannot void
-  /// the batch. Every job solves cold (batch lanes carry no warm-start
-  /// state); single-job callers should prefer plan()/replan().
-  [[nodiscard]] std::vector<PlanBatchResult> plan_batch(
-      std::span<const PlanJob> jobs,
-      std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;
 
  private:
   struct Runtime;

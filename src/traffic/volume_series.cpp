@@ -29,9 +29,14 @@ int HourlyVolumeSeries::day_of_week(std::size_t hour_index) const {
 
 double HourlyVolumeSeries::volume_at_time(double seconds_from_start) const {
   if (volumes_.empty()) throw std::logic_error("HourlyVolumeSeries: empty series");
+  if (std::isnan(seconds_from_start)) throw std::invalid_argument("HourlyVolumeSeries: NaN time");
   const double hours = seconds_from_start / kSecondsPerHour;
-  const auto idx = hours <= 0.0 ? std::size_t{0}
-                                : std::min(static_cast<std::size_t>(hours), volumes_.size() - 1);
+  // Clamped in double before the cast: casting +inf (or anything past
+  // SIZE_MAX) to an integer is undefined.
+  const std::size_t last = volumes_.size() - 1;
+  const std::size_t idx = hours <= 0.0                          ? 0
+                          : hours >= static_cast<double>(last) ? last
+                                                               : static_cast<std::size_t>(hours);
   return volumes_[idx];
 }
 

@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 
+#include "common/simd.hpp"
+#include "common/telemetry.hpp"
+#include "core/planner.hpp"
 #include "ev/energy_model.hpp"
+#include "road/corridor.hpp"
 #include "road/route.hpp"
 
 namespace evvo::core {
@@ -54,6 +60,60 @@ TEST(DpSolver, ValidatesInputs) {
   p = base_problem(route, energy);
   p.resolution.ds_m = 0.0;
   EXPECT_THROW(solve_dp(p), std::invalid_argument);
+}
+
+TEST(DpSolver, RejectsNonFiniteDepartureTime) {
+  const road::Route route = flat_route(500.0);
+  const ev::EnergyModel energy;
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    DpProblem p = base_problem(route, energy);
+    p.depart_time = Seconds(t);
+    EXPECT_THROW(solve_dp(p), std::invalid_argument) << t;
+  }
+}
+
+TEST(DpSolver, EdgeTableBinsNearlyEveryVectorChunkOfAColdUs25Solve) {
+  // The edge-table route of the vector relaxation is bit-identical to the
+  // exact route, so identity tests pass whether or not it ever fires. This
+  // pins that it does: on a SIMD build a cold US-25 solve bins at least 90%
+  // of its vector chunks through it, and a scalar solve bins none.
+  const road::Corridor corridor = road::make_us25_corridor();
+  const ev::EnergyModel energy;
+  PlannerConfig cfg;
+  cfg.policy = SignalPolicy::kQueueAware;
+  const VelocityPlanner planner(corridor, energy, cfg);
+  DpProblem problem;
+  problem.route = &corridor.route;
+  problem.energy = &energy;
+  problem.depart_time = Seconds(60.0);
+  problem.resolution = cfg.resolution;
+  problem.resolution.threads = 1;
+  problem.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
+  problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
+  problem.events = planner.build_events(
+      problem.depart_time, std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0)));
+
+  const telemetry::Counter& fast = telemetry::counter("dp.relax.fast_chunks");
+  const telemetry::Counter& capacity = telemetry::counter("dp.simd_lanes_capacity");
+  constexpr auto kWidth = static_cast<long>(common::simd::VecF::kWidth);
+  for (const bool simd : {true, false}) {
+    problem.resolution.simd = simd;
+    const long fast0 = fast.value();
+    const long capacity0 = capacity.value();
+    DpWorkspace workspace;
+    ASSERT_TRUE(solve_dp(problem, workspace).has_value());
+    const long fast_chunks = fast.value() - fast0;
+    const long chunks = (capacity.value() - capacity0) / kWidth;
+    if (common::simd::kHasSimd && simd) {
+      ASSERT_GT(chunks, 0);
+      EXPECT_GE(static_cast<double>(fast_chunks), 0.9 * static_cast<double>(chunks))
+          << fast_chunks << " of " << chunks << " chunks";
+    } else {
+      EXPECT_EQ(fast_chunks, 0) << "simd=" << simd;
+    }
+  }
 }
 
 TEST(DpSolver, FlatUnconstrainedTripIsFeasibleAndClean) {

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "ev/energy_model.hpp"
 #include "road/corridor.hpp"
@@ -146,6 +148,42 @@ TEST(PlanService, ReplanValidatesPosition) {
   PlanService service(make_planner(), demand(765.0));
   EXPECT_THROW((void)service.request_replan({1, -1.0, 10.0, 0.0}), std::invalid_argument);
   EXPECT_THROW((void)service.request_replan({1, 4200.0, 10.0, 0.0}), std::invalid_argument);
+}
+
+TEST(PlanService, NonFiniteRequestFieldsAreRejectedUncounted) {
+  // A NaN position used to pass the range check and become layer 0, and a
+  // NaN time reached the arrival-rate provider. Every non-finite field is an
+  // invalid_argument before any lookup, through the single and the batch
+  // entry points (a batch with one bad request is rejected whole), and
+  // nothing is counted.
+  PlanService service(make_planner(), demand(765.0));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    const PlanRequest plan{1, bad};
+    const std::vector<PlanRequest> plans{{2, 600.0}, plan};
+    EXPECT_THROW((void)service.request_plan(plan), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_plan_ticket(plan), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_plans(plans), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_plan_tickets(plans), std::invalid_argument) << bad;
+    for (double ReplanRequest::*field :
+         {&ReplanRequest::position_m, &ReplanRequest::speed_ms, &ReplanRequest::time_s}) {
+      ReplanRequest replan{3, 2000.0, 15.0, 600.0};
+      replan.*field = bad;
+      const std::vector<ReplanRequest> replans{{4, 1000.0, 10.0, 600.0}, replan};
+      EXPECT_THROW((void)service.request_replan(replan), std::invalid_argument) << bad;
+      EXPECT_THROW((void)service.request_replan_ticket(replan), std::invalid_argument) << bad;
+      EXPECT_THROW((void)service.request_replans(replans), std::invalid_argument) << bad;
+      EXPECT_THROW((void)service.request_replan_tickets(replans), std::invalid_argument) << bad;
+    }
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 0);
+  EXPECT_EQ(stats.replans, 0);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.solver_runs, 0);
+  EXPECT_EQ(stats.rejections, 0);
+  EXPECT_EQ(stats.queue_depth, 0);
+  EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs + stats.rejections);
 }
 
 TEST(PlanService, BatchReplansCoalesceOntoOneSolve) {

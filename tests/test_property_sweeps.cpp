@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "core/dp_solver.hpp"
 #include "ev/energy_model.hpp"
@@ -143,6 +144,11 @@ struct SimCase {
   std::uint64_t seed;
   sim::CarFollowing model;
 };
+// Without this, gtest prints SimCase as raw bytes, padding included, and the
+// discovered ctest names would change from run to run.
+void PrintTo(const SimCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " model=" << (c.model == sim::CarFollowing::kKrauss ? "krauss" : "idm");
+}
 class SimSweep : public ::testing::TestWithParam<SimCase> {};
 TEST_P(SimSweep, SafeAndConservative) {
   const auto [seed, model] = GetParam();

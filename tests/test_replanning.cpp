@@ -2,6 +2,7 @@
 // support, VelocityPlanner::replan, and the closed-loop adaptive pilot.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "core/planner.hpp"
@@ -137,6 +138,25 @@ TEST(Replan, RejectsPositionOutsideCorridor) {
   const core::VelocityPlanner planner = make_planner(core::SignalPolicy::kIgnoreSignals);
   EXPECT_THROW(planner.replan(Meters(-5.0), MetersPerSecond(0.0), Seconds(0.0)), std::invalid_argument);
   EXPECT_THROW(planner.replan(Meters(4200.0), MetersPerSecond(0.0), Seconds(0.0)), std::invalid_argument);
+}
+
+TEST(Replan, RejectsNonFiniteState) {
+  // NaN used to pass the position range check and solve from position 0.
+  const core::VelocityPlanner planner = make_planner();
+  const auto arrivals = demand(765.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    EXPECT_THROW((void)planner.plan(Seconds(bad), arrivals), std::invalid_argument) << bad;
+    EXPECT_THROW((void)planner.replan(Meters(bad), MetersPerSecond(10.0), Seconds(700.0), arrivals),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW((void)planner.replan(Meters(2000.0), MetersPerSecond(bad), Seconds(700.0), arrivals),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW((void)planner.replan(Meters(2000.0), MetersPerSecond(10.0), Seconds(bad), arrivals),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(Replan, ElementJustAheadIsDropped) {

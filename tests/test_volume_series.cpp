@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "common/units.hpp"
@@ -44,6 +45,16 @@ TEST(VolumeSeries, VolumeAtTimePiecewiseConstant) {
   EXPECT_DOUBLE_EQ(s.volume_at_time(3600.0), 1.0);
   EXPECT_DOUBLE_EQ(s.volume_at_time(-5.0), 0.0);          // clamped
   EXPECT_DOUBLE_EQ(s.volume_at_time(1e9), 47.0);           // clamped
+}
+
+TEST(VolumeSeries, VolumeAtNonFiniteTimeClampsOrThrows) {
+  const HourlyVolumeSeries s = tiny_series();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(s.volume_at_time(kInf), 47.0);
+  EXPECT_DOUBLE_EQ(s.volume_at_time(-kInf), 0.0);
+  EXPECT_DOUBLE_EQ(s.volume_at_time(1e300), 47.0);
+  EXPECT_THROW((void)s.volume_at_time(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(VolumeSeries, SliceKeepsCalendarAlignment) {

@@ -67,8 +67,8 @@ struct Options {
   double replan_frac = 0.3;
   double zipf_s = 1.1;
   /// Fraction of requests redirected to never-warmed replan keys (cold
-  /// solver misses). Misses share one canonical mid-route layer so the
-  /// batched solver can pack them into SoA lanes.
+  /// solver misses). Misses share one canonical mid-route layer, so a
+  /// tick's misses are distinct leaders over one suffix corridor.
   double miss_rate = 0.0;
   std::size_t batch = 256;
   std::string mode = "compare";  // legacy | sharded | compare
@@ -220,8 +220,9 @@ std::vector<Slot> plan_slots() {
 /// Cold-miss key space: one canonical mid-route layer (position 1230 m, on
 /// the 10 m solver grid, inside the 12 m/s segment) crossed with every
 /// (phase bin, velocity level) pair the grid admits. Misses drawn from here
-/// were never warmed, and sharing the layer means a tick's misses present
-/// the batched solver with SoA-compatible lanes. The space holds
+/// were never warmed, and sharing the layer means a tick's misses are
+/// distinct leaders solved back to back over one suffix corridor (the same
+/// pooled workspace and cached model tables). The space holds
 /// 60 phases x 23 levels = 1380 distinct keys; a workload drawing more
 /// wraps around (later draws become hits), which keeps long runs bounded.
 constexpr double kMissPositionM = 1230.0;
