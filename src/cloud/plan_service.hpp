@@ -17,8 +17,7 @@
 // time, demand bin). Two vehicles at the same layer and speed whose clocks
 // are congruent mod H face the same remaining problem, so the cached tail is
 // served time-shifted; misses canonicalize the state to the bin's grid point
-// and run VelocityPlanner::replan, which itself warm-starts the DP from the
-// pooled previous solve (core/dp_replan.hpp).
+// and run VelocityPlanner::replan, a cold DP solve over a pooled workspace.
 //
 // Sharding: the cache is partitioned into CacheConfig::shards independent
 // shards, each with its own mutex, bounded LRU+TTL cache, in-flight table,
@@ -153,8 +152,7 @@ class PlanService {
  public:
   /// The routing decision for one request: its full cache identity (the
   /// corridor hash plus every quantized bin) and the shard it lands on.
-  /// Exposed for routing tests and workload harnesses; the same structure a
-  /// distributed front-end would use to pick a rank (ShardRank::owns).
+  /// Exposed for routing tests and workload harnesses.
   struct [[nodiscard]] RequestSlot {
     ShardKey key;
     std::size_t shard = 0;
@@ -169,8 +167,9 @@ class PlanService {
 
   /// Computes or serves a plan. Thread-safe; see the single-flight notes in
   /// the header comment. Throws std::invalid_argument for a non-finite
-  /// departure time, before any lookup or counter (the batch entry points
-  /// likewise reject the whole batch uncounted).
+  /// departure time, or when the arrival-rate provider answers with a NaN,
+  /// infinite or negative rate, before any lookup or counter (the batch
+  /// entry points likewise reject the whole batch uncounted).
   PlanResponse request_plan(const PlanRequest& request);
 
   /// Serves a whole batch, fanning same-shard groups across the service's
@@ -182,14 +181,15 @@ class PlanService {
   /// Computes or serves a replan for a mid-route vehicle state. The returned
   /// profile starts at the state's grid point in corridor coordinates.
   /// Throws std::invalid_argument for positions outside the corridor and for
-  /// a non-finite position, speed or time, before any lookup. Same
+  /// a non-finite position, speed or time, and for a bad provider rate as
+  /// request_plan does, before any lookup. Same
   /// single-flight and caching behavior as request_plan, over the segment
   /// memo keyed by quantized (position layer, velocity level, cycle offset,
   /// demand) - see the header comment.
   PlanResponse request_replan(const ReplanRequest& request);
 
   /// Batch replanning, the per-tick fleet path: responses in request order,
-  /// same-state vehicles coalesce onto one warm solve.
+  /// same-state vehicles coalesce onto one solve.
   std::vector<PlanResponse> request_replans(std::span<const ReplanRequest> requests);
 
   /// Zero-copy variants: same caching, single-flight, and statistics as the
@@ -341,14 +341,14 @@ class PlanService {
   core::PlannedProfile solve_miss(const BatchItem& item);
   /// Cross-request batch dispatch: groups same-key items, admits each
   /// group's first member through the single-flight path, then solves the
-  /// admitted leaders one at a time through solve_miss (the pooled,
-  /// warm-startable single-solve path), publishing each result as soon as
-  /// its solve finishes, and derives every other member's ticket from its
-  /// group leader's (one cache transaction per group). Leaders are not
+  /// admitted leaders one at a time through solve_miss (the pooled
+  /// single-solve path), publishing each result as soon as its solve
+  /// finishes, and derives every other member's ticket from its group
+  /// leader's (one cache transaction per group). Leaders are not
   /// packed into one SoA sweep (core/dp_batch.hpp): replayed on the fleet
   /// benchmark, that sweep was only 1.10x faster than pooled single solves
   /// on miss_storm and 0.83x on rolling_horizon, short of the 1.3x it needed,
-  /// and single solves can warm-start and publish early.
+  /// and single solves can publish early.
   std::vector<PlanTicket> serve_batch(const std::vector<BatchItem>& items);
   std::vector<PlanResponse> materialize_all(std::vector<PlanTicket> tickets);
   common::ThreadPool* batch_pool();

@@ -1,8 +1,6 @@
 #include "cloud/shard.hpp"
 
-#include <atomic>
 #include <cstring>
-#include <stdexcept>
 
 #include "core/dp_common.hpp"
 
@@ -22,11 +20,6 @@ std::uint64_t fnv_mix(std::uint64_t h, double value) {
   return h;
 }
 
-#if defined(EVVO_DISTRIBUTED)
-std::atomic<int> g_rank{0};
-std::atomic<int> g_n_ranks{1};
-#endif
-
 }  // namespace
 
 std::uint64_t hash_corridor(const road::Corridor& corridor) {
@@ -43,26 +36,5 @@ std::uint64_t hash_corridor(const road::Corridor& corridor) {
   }
   return h;
 }
-
-#if defined(EVVO_DISTRIBUTED)
-
-int ShardRank::rank() { return g_rank.load(std::memory_order_relaxed); }
-int ShardRank::n_ranks() { return g_n_ranks.load(std::memory_order_relaxed); }
-
-void ShardRank::configure(int rank, int n_ranks) {
-  if (n_ranks < 1 || rank < 0 || rank >= n_ranks)
-    throw std::invalid_argument("ShardRank::configure: rank outside [0, n_ranks)");
-  g_rank.store(rank, std::memory_order_relaxed);
-  g_n_ranks.store(n_ranks, std::memory_order_relaxed);
-}
-
-#else
-
-// Serial stub: one rank owning every shard. Kept out-of-line so the
-// distributed build can swap the definition without touching call sites.
-int ShardRank::rank() { return 0; }
-int ShardRank::n_ranks() { return 1; }
-
-#endif
 
 }  // namespace evvo::cloud

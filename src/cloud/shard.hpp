@@ -10,13 +10,6 @@
 //  - the mapping depends on nothing but the key's value (no pointers, no
 //    std::hash, no per-process salt), so it is stable across processes and
 //    rebuilds and usable as a cross-process routing contract.
-//
-// ShardRank is the EVVO_DISTRIBUTED seam, following the master/worker-with-
-// serial-stub shape of MPI-style frameworks: the serving layer only ever
-// asks "is this shard mine?". The single-process build answers with a no-op
-// stub (one rank owning every shard); a distributed build registers its
-// rank/size from the transport at startup and routes non-local shards over
-// RPC at a layer above PlanService.
 #pragma once
 
 #include <cstddef>
@@ -72,29 +65,5 @@ constexpr std::size_t shard_index(const ShardKey& key, std::size_t n_shards) {
 /// shard mapping a contract between processes rather than an implementation
 /// detail of one.
 std::uint64_t hash_corridor(const road::Corridor& corridor);
-
-/// Process-wide shard ownership. The serial stub is a single rank owning
-/// everything; EVVO_DISTRIBUTED builds register the transport's rank/size
-/// once at startup. Methods are static because rank identity is a property
-/// of the process, not of any one service instance.
-class ShardRank {
- public:
-  static int rank();
-  static int n_ranks();
-  static bool is_master() { return rank() == 0; }
-
-  /// Block-cyclic ownership: shard s belongs to rank s mod n_ranks. In the
-  /// serial stub this is constantly true.
-  static bool owns(std::size_t shard) {
-    return static_cast<int>(shard % static_cast<std::size_t>(n_ranks())) == rank();
-  }
-
-#if defined(EVVO_DISTRIBUTED)
-  /// Registers this process's position in the fleet. Must be called before
-  /// any PlanService is constructed; the single-process build has no such
-  /// method, so call sites stay behind the same #if as the transport.
-  static void configure(int rank, int n_ranks);
-#endif
-};
 
 }  // namespace evvo::cloud

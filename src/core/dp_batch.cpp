@@ -152,10 +152,6 @@ std::array<std::optional<DpSolution>, kLanes> DpBatchEngine::run() {
   static telemetry::Histogram& sweep_hist = telemetry::histogram("dp.batch.sweep_ns");
   const telemetry::TraceSpan sweep_span(sweep_hist, "dp.batch.sweep");
 
-  // Like any engine run, a batched sweep reuses (and therefore invalidates)
-  // the workspace's tables for every warm-start snapshot held against it.
-  ++ws_.solve_serial_;
-
   // Grid geometry: identical for every lane by DpBatchKey (same route
   // content, same resolution), computed exactly as DpEngine::run does.
   n_hops_ = static_cast<std::size_t>(std::max(1.0, std::round(route_.length() / res_.ds_m)));

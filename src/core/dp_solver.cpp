@@ -13,7 +13,6 @@
 #include "common/units.hpp"
 #include "core/dp_common.hpp"
 #include "core/dp_extract.hpp"
-#include "core/dp_replan.hpp"
 
 namespace evvo::core {
 
@@ -211,22 +210,7 @@ class DpEngine {
       : problem_(problem), ws_(ws), pool_(pool), route_(*problem.route),
         energy_(*problem.energy), res_(problem.resolution) {}
 
-  /// first_relax > 0 is the warm entry (core/dp_replan.hpp): the workspace
-  /// must already hold a completed solve of a problem whose inputs to layers
-  /// [0, first_relax] are unchanged, so the sweep resumes there instead of
-  /// re-seeding layer 0. The caller (solve_dp_incremental) is responsible
-  /// for that precondition; everything here stays bit-identical to a cold
-  /// run because relax_layer(i) reads only layer i's table and the dwell
-  /// re-expansion of an already-expanded layer is a strict-< no-op.
-  std::optional<DpSolution> run(std::size_t first_relax);
-
-  /// Checksum of the state tables a previous run left in `ws` (splice path:
-  /// serving a cached solution to a caller that newly asks for checksums).
-  static std::uint64_t table_checksum_of(const DpWorkspace& ws, std::size_t n_layers,
-                                         std::size_t n_v, std::size_t n_t) {
-    return detail::checksum_state_tables(n_layers, n_v, n_t, ws.cost_.data(), ws.time_.data(),
-                                         ws.back_.data());
-  }
+  std::optional<DpSolution> run();
 
  private:
   using Fwd = DpWorkspace::FwdHop;
@@ -288,19 +272,9 @@ void DpEngine::reset_state() {
   ws_.back_.grow_to(need);
 }
 
-std::optional<DpSolution> DpEngine::run(std::size_t first_relax) {
-  // Cold solves (full sweep) and warm resumes (replan suffix) land in
-  // separate histograms: their latency distributions differ by orders of
-  // magnitude and a merged percentile would describe neither.
+std::optional<DpSolution> DpEngine::run() {
   static telemetry::Histogram& cold_hist = telemetry::histogram("dp.solve_cold_ns");
-  static telemetry::Histogram& warm_hist = telemetry::histogram("dp.solve_warm_ns");
-  const bool cold = first_relax == 0;
-  const telemetry::TraceSpan solve_span(cold ? cold_hist : warm_hist,
-                                        cold ? "dp.solve_cold" : "dp.solve_warm");
-
-  // Any engine run - warm, cold, throwing, or infeasible - invalidates every
-  // previous-solve snapshot other solvers hold against this workspace.
-  ++ws_.solve_serial_;
+  const telemetry::TraceSpan solve_span(cold_hist, "dp.solve_cold");
 
   // Grid geometry. The distance step is adjusted so layers divide the route
   // length exactly.
@@ -384,18 +358,13 @@ std::optional<DpSolution> DpEngine::run(std::size_t first_relax) {
                           problem_.smoothness_weight_mah_per_ms, ds_, n_hops_, n_layers_, n_v_);
   reset_state();
 
-  if (first_relax >= n_layers_) throw std::invalid_argument("solve_dp: first_relax out of range");
-
   // Source state at the departure time (layer 0 cleared in full: its source
-  // scan visits every row). A warm run resumes mid-sweep: layers up to and
-  // including first_relax already hold the previous solve's bits.
-  if (first_relax == 0) {
-    std::fill(ws_.cost_.data(), ws_.cost_.data() + layer_size_, kInf);
-    const std::size_t id = cell_of(j_source_, 0);  // layer 0 base is 0
-    ws_.cost_[id] = 0.0f;
-    ws_.time_[id] = static_cast<float>(problem_.depart_time.value());
-    ws_.back_[id] = kNoPred;
-  }
+  // scan visits every row).
+  std::fill(ws_.cost_.data(), ws_.cost_.data() + layer_size_, kInf);
+  const std::size_t id = cell_of(j_source_, 0);  // layer 0 base is 0
+  ws_.cost_[id] = 0.0f;
+  ws_.time_[id] = static_cast<float>(problem_.depart_time.value());
+  ws_.back_[id] = kNoPred;
 
   stats_ = DpStats{};
   stats_.layers = n_layers_;
@@ -408,7 +377,7 @@ std::optional<DpSolution> DpEngine::run(std::size_t first_relax) {
   stripe_relaxations_.assign(std::max<std::size_t>(width, 1), 0);
 
   bool feasible = true;
-  for (std::size_t i = first_relax; i + 1 < n_layers_; ++i) {
+  for (std::size_t i = 0; i + 1 < n_layers_; ++i) {
     if (!relax_layer(i)) {
       feasible = false;
       break;
@@ -809,92 +778,7 @@ std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& worksp
                                    common::ThreadPool* pool) {
   problem.validate();
   detail::DpEngine engine(problem, workspace, pool);
-  return engine.run(0);
-}
-
-std::optional<DpSolution> solve_dp_incremental(const DpProblem& problem, DpPrevSolution& prev,
-                                               DpWorkspace& workspace, common::ThreadPool* pool,
-                                               DpReplanStats* replan_stats) {
-  problem.validate();
-
-  DpReplanStats local_stats;
-  DpReplanStats& rs = replan_stats ? *replan_stats : local_stats;
-  rs = DpReplanStats{};
-  {
-    const auto n_hops = static_cast<std::size_t>(
-        std::max(1.0, std::round(problem.route->length() / problem.resolution.ds_m)));
-    rs.total_layers = n_hops;  // a cold solve runs n_layers - 1 == n_hops relaxations
-  }
-
-  ReplanDelta delta;
-  if (!prev.valid) {
-    delta = ReplanDelta{ReplanDelta::Path::kCold, 0, "no previous solve"};
-  } else if (prev.workspace_serial != workspace.solve_serial()) {
-    delta = ReplanDelta{ReplanDelta::Path::kCold, 0, "workspace reused by another solve"};
-  } else {
-    delta = classify_replan(prev.key, prev.events, prev.dominance_pruning, problem);
-  }
-
-  // Outcome mix of the replan classifier; the ratio of splices to cold
-  // fallbacks is the fleet-level health signal for warm-start effectiveness.
-  static telemetry::Counter& spliced_ctr = telemetry::counter("dp.replan.spliced");
-  static telemetry::Counter& stripes_ctr = telemetry::counter("dp.replan.stripes");
-  static telemetry::Counter& cold_ctr = telemetry::counter("dp.replan.cold");
-  (delta.path == ReplanDelta::Path::kSpliced ? spliced_ctr
-   : delta.path == ReplanDelta::Path::kStripes ? stripes_ctr
-                                               : cold_ctr)
-      .add(1);
-
-  if (delta.path == ReplanDelta::Path::kSpliced) {
-    // Nothing the DP reads has changed: the cached solution IS the cold
-    // solve's output (the solver is deterministic), and the workspace still
-    // holds its tables (serial matched), so a newly requested checksum can
-    // be computed from them without re-relaxing anything.
-    DpSolution out = *prev.solution;
-    if (problem.checksum_tables) {
-      if (!prev.had_checksum) {
-        const DpStats& st = prev.solution->stats;
-        out.stats.table_checksum = detail::DpEngine::table_checksum_of(
-            workspace, st.layers, st.velocity_levels, st.time_bins);
-        prev.solution->stats.table_checksum = out.stats.table_checksum;
-        prev.had_checksum = true;
-      }
-    } else {
-      out.stats.table_checksum = 0;  // a cold no-checksum solve reports 0
-    }
-    rs.path = ReplanDelta::Path::kSpliced;
-    rs.relaxed_layers = 0;
-    return out;
-  }
-
-  const std::size_t first_relax =
-      delta.path == ReplanDelta::Path::kStripes ? delta.first_relax : 0;
-  detail::DpEngine engine(problem, workspace, pool);
-  std::optional<DpSolution> out;
-  try {
-    out = engine.run(first_relax);
-  } catch (...) {
-    prev.reset();
-    throw;
-  }
-  rs.path = delta.path;
-  rs.first_relax = first_relax;
-  rs.relaxed_layers = rs.total_layers - first_relax;
-  rs.cold_reason = delta.path == ReplanDelta::Path::kCold ? delta.reason : "";
-  if (!out.has_value()) {
-    // Infeasible sweeps stop mid-suffix, leaving later layers stale; the
-    // next solve over this workspace must start cold.
-    prev.reset();
-    return out;
-  }
-  prev.valid = true;
-  prev.workspace_serial = workspace.solve_serial();
-  prev.key = DpProblemKey::of(problem);
-  prev.events = problem.events;
-  prev.dominance_pruning = problem.dominance_pruning;
-  prev.had_checksum = problem.checksum_tables;
-  prev.solution = *out;
-  return out;
+  return engine.run();
 }
 
 }  // namespace evvo::core

@@ -232,13 +232,6 @@ class DpWorkspace {
            back_.size() * sizeof(std::uint32_t);
   }
 
-  /// Monotone count of engine runs over this workspace, bumped before a run
-  /// touches any table (a throwing or infeasible run still counts). The
-  /// incremental solver (core/dp_replan.hpp) records it alongside its
-  /// previous-solve snapshot: a mismatch proves another solve reused the
-  /// tables in between, so warm-starting from them would be unsound.
-  std::uint64_t solve_serial() const { return solve_serial_; }
-
  private:
   friend class detail::DpEngine;
   friend class detail::DpBatchEngine;
@@ -311,8 +304,6 @@ class DpWorkspace {
   void ensure_model_tables(const road::Route& route, const ev::EnergyModel& energy,
                            const DpResolution& res, double lambda, double smoothness, double ds,
                            std::size_t n_hops, std::size_t n_layers, std::size_t n_v);
-
-  std::uint64_t solve_serial_ = 0;  ///< see solve_serial()
 };
 
 /// Runs the DP. Returns std::nullopt only if no feasible trajectory reaches

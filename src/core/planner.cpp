@@ -8,16 +8,15 @@
 #include "common/mutex.hpp"
 #include "common/thread_pool.hpp"
 #include "core/dp_common.hpp"
-#include "core/dp_replan.hpp"
 #include "core/workspace_pool.hpp"
 
 namespace evvo::core {
 
-/// Shared across planner copies: solver contexts (workspace + previous-solve
-/// snapshot, keyed by route-content affinity so replans of the same corridor
-/// suffix warm-start; see core/workspace_pool.hpp) are checked out per call,
-/// and the relaxation pool is created on first use. The configured thread
-/// count is fixed at construction, so the pool never needs resizing.
+/// Shared across planner copies: workspaces (keyed by route-content affinity
+/// so solves of the same route reuse its model tables; see
+/// core/workspace_pool.hpp) are checked out per call, and the relaxation
+/// pool is created on first use. The configured thread count is fixed at
+/// construction, so the pool never needs resizing.
 struct VelocityPlanner::Runtime {
   common::Mutex runtime_mutex{common::LockRank::kPlannerRuntime};
   WorkspacePool workspaces;
@@ -155,16 +154,15 @@ std::vector<LayerEvent> VelocityPlanner::build_events(
 }
 
 std::optional<DpSolution> VelocityPlanner::solve_problem(const DpProblem& problem) const {
-  // Affinity = route content: a replan of the same corridor suffix gets the
-  // context whose tables and previous-solve snapshot it can warm-start from
-  // (bit-identically; see core/dp_replan.hpp). Cross-corridor checkouts
-  // still reuse the allocations, they just solve cold.
+  // Affinity = route content: a solve of the same route gets a workspace
+  // whose cached model tables already match. Cross-route checkouts still
+  // reuse the allocations, they just rebuild the tables.
   const std::uint64_t affinity = detail::hash_route(*problem.route);
   std::unique_ptr<WorkspacePool::Entry> entry = runtime_->workspaces.acquire(affinity);
   common::ThreadPool* pool = runtime_->pool_for(config_.resolution.threads);
   std::optional<DpSolution> solution;
   try {
-    solution = solve_dp_incremental(problem, entry->prev, entry->workspace, pool);
+    solution = solve_dp(problem, entry->workspace, pool);
   } catch (...) {
     entry->affinity = affinity;
     runtime_->workspaces.release(std::move(entry));

@@ -8,8 +8,8 @@ namespace evvo::core {
 
 namespace {
 
-// Checkout outcomes: affinity hits keep replans warm, LIFO reuses keep
-// allocations amortized, fresh allocations mean the pool is undersized.
+// Checkout outcomes: affinity hits skip the model-table rebuild, LIFO reuses
+// keep allocations amortized, fresh allocations mean the pool is undersized.
 telemetry::Counter& affinity_hits_ctr() {
   static telemetry::Counter& c = telemetry::counter("dp.pool.affinity_hits");
   return c;
@@ -29,7 +29,7 @@ std::unique_ptr<WorkspacePool::Entry> WorkspacePool::acquire(std::uint64_t affin
   {
     common::MutexLock lock(free_mutex_);
     if (!free_.empty()) {
-      // Most recently released first, so ties go to the warmest entry.
+      // Most recently released first, so ties go to the hottest caches.
       for (std::size_t i = free_.size(); i-- > 0;) {
         if (free_[i]->affinity == affinity) {
           std::unique_ptr<Entry> entry = std::move(free_[i]);

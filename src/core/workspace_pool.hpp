@@ -1,13 +1,14 @@
-// Free-list of DP solver contexts with warm-state affinity.
+// Free-list of DP workspaces with route affinity.
 //
-// A solver context is a DpWorkspace plus the DpPrevSolution snapshot of the
-// last solve it ran (core/dp_replan.hpp): the pair is what makes a replan
-// warm. A plain LIFO free-list defeats that pairing under interleaved
-// traffic - vehicle A's replan would check out the workspace vehicle B just
-// released, and both solves go cold. acquire() therefore prefers the most
-// recently released entry whose affinity tag (the planner uses the route
-// content hash of the problem about to be solved) matches, and falls back to
-// LIFO only when nothing matches.
+// A workspace caches the model tables (feasible hops, per-grade transition
+// costs) of the route it last solved and rebuilds them only when the route
+// content, energy model or resolution changes. A plain LIFO free-list
+// defeats that cache under interleaved traffic - a solve of corridor A would
+// check out the workspace a solve of corridor B just released and rebuild
+// the tables. acquire() therefore prefers the most recently released entry
+// whose affinity tag (the planner uses the route content hash of the problem
+// about to be solved) matches, and falls back to LIFO only when nothing
+// matches.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,7 @@
 #include "common/lock_ranks.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "core/dp_replan.hpp"
+#include "core/dp_solver.hpp"
 
 namespace evvo::core {
 
@@ -25,7 +26,6 @@ class WorkspacePool {
  public:
   struct Entry {
     DpWorkspace workspace;
-    DpPrevSolution prev;
     /// Caller-maintained tag of what this entry last solved; matched by
     /// acquire(). 0 = never used.
     std::uint64_t affinity = 0;

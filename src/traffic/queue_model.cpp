@@ -26,7 +26,8 @@ double QueueModel::queue_length_m(Seconds tau, const CyclePhases& phases,
                                   VehiclesPerSecond arrival, Meters initial_queue) const {
   const double arrival_veh_s = arrival.value();
   const double initial_queue_m = initial_queue.value();
-  if (arrival_veh_s < 0.0) throw std::invalid_argument("QueueModel: arrival rate must be >= 0");
+  // Written so that NaN fails the check instead of passing it.
+  if (!(arrival_veh_s >= 0.0)) throw std::invalid_argument("QueueModel: arrival rate must be >= 0");
   if (initial_queue_m < 0.0) throw std::invalid_argument("QueueModel: initial queue must be >= 0");
   const double t = clamp(tau.value(), 0.0, phases.cycle());
   const double arrivals_m = params_.spacing_m * arrival_veh_s * t;

@@ -186,6 +186,50 @@ TEST(PlanService, NonFiniteRequestFieldsAreRejectedUncounted) {
   EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs + stats.rejections);
 }
 
+/// A provider that answers every query with one fixed (possibly bad) rate.
+class FixedRate final : public traffic::ArrivalRateProvider {
+ public:
+  explicit FixedRate(double veh_h) : veh_h_(veh_h) {}
+  double arrival_rate_veh_h(Seconds) const override { return veh_h_; }
+
+ private:
+  double veh_h_;
+};
+
+TEST(PlanService, BadProviderRatesAreRejectedUncounted) {
+  // A NaN rate used to reach std::lround (an unspecified demand bin), and a
+  // negative one was counted as a request before QueueModel threw inside the
+  // solve. Both, and +inf, are an invalid_argument before any lookup,
+  // through the single and the batch entry points, and nothing is counted.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           std::numeric_limits<double>::infinity()}) {
+    PlanService service(make_planner(), std::make_shared<FixedRate>(bad));
+    const PlanRequest plan{1, 600.0};
+    const std::vector<PlanRequest> plans{plan, {2, 660.0}};
+    const ReplanRequest replan{3, 2000.0, 15.0, 600.0};
+    const std::vector<ReplanRequest> replans{replan, {4, 1000.0, 10.0, 600.0}};
+    EXPECT_THROW((void)service.request_plan(plan), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_plan_ticket(plan), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_plans(plans), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_plan_tickets(plans), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_replan(replan), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_replan_ticket(replan), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_replans(replans), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_replan_tickets(replans), std::invalid_argument) << bad;
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.requests, 0) << bad;
+    EXPECT_EQ(stats.replans, 0) << bad;
+    EXPECT_EQ(stats.cache_hits, 0) << bad;
+    EXPECT_EQ(stats.coalesced_hits, 0) << bad;
+    EXPECT_EQ(stats.solver_runs, 0) << bad;
+    EXPECT_EQ(stats.evictions, 0) << bad;
+    EXPECT_EQ(stats.expirations, 0) << bad;
+    EXPECT_EQ(stats.rejections, 0) << bad;
+    EXPECT_EQ(stats.queue_depth, 0) << bad;
+  }
+}
+
 TEST(PlanService, BatchReplansCoalesceOntoOneSolve) {
   CacheConfig cache;
   cache.batch_threads = 2;

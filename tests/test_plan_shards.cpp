@@ -145,13 +145,6 @@ TEST(ShardRouting, ReplanSlotsNeverCollideWithPlanSlots) {
                std::invalid_argument);
 }
 
-TEST(ShardRank, SerialStubOwnsEverything) {
-  EXPECT_EQ(ShardRank::n_ranks(), 1);
-  EXPECT_EQ(ShardRank::rank(), 0);
-  EXPECT_TRUE(ShardRank::is_master());
-  for (std::size_t shard = 0; shard < 64; ++shard) EXPECT_TRUE(ShardRank::owns(shard));
-}
-
 // --- Config validation ---------------------------------------------------
 
 TEST(PlanShards, ValidatesShardConfig) {

@@ -51,6 +51,10 @@ INSTANTIATE_TEST_SUITE_P(Speeds, SymmetrySweep, ::testing::Values(5.0, 10.0, 15.
 struct PhaseCase {
   double red, green;
 };
+// Readable ctest names instead of the struct's raw bytes.
+void PrintTo(const PhaseCase& c, std::ostream* os) {
+  *os << "red=" << c.red << " green=" << c.green;
+}
 
 /// Clear times always fall inside the green phase when they exist, for a
 /// spread of signal timings and demands.

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 
 #include "common/units.hpp"
@@ -137,6 +139,9 @@ TEST(QueueModel, ProfileSamplesMatchPointQueries) {
 TEST(QueueModel, InputValidation) {
   const QueueModel q = ours();
   EXPECT_THROW(q.queue_length_m(Seconds(1.0), paper_cycle(), VehiclesPerSecond(-0.1)), std::invalid_argument);
+  EXPECT_THROW(q.queue_length_m(Seconds(1.0), paper_cycle(),
+                                VehiclesPerSecond(std::numeric_limits<double>::quiet_NaN())),
+               std::invalid_argument);
   EXPECT_THROW(q.queue_length_m(Seconds(1.0), paper_cycle(), VehiclesPerSecond(0.1), Meters(-5.0)), std::invalid_argument);
   EXPECT_THROW(q.queue_profile(paper_cycle(), VehiclesPerSecond(0.1), Seconds(0.0)), std::invalid_argument);
 }
@@ -147,6 +152,12 @@ struct RateCase {
   double low, high;
   DischargeModel model;
 };
+// Without this, gtest prints RateCase as raw bytes, padding included, and the
+// discovered ctest names would change from build to build.
+void PrintTo(const RateCase& c, std::ostream* os) {
+  *os << "low=" << c.low << " high=" << c.high << " model="
+      << (c.model == DischargeModel::kVmAcceleration ? "vm" : "instant");
+}
 class ArrivalSweep : public ::testing::TestWithParam<RateCase> {};
 TEST_P(ArrivalSweep, MonotoneInArrivalRate) {
   const auto p = GetParam();

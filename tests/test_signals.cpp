@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 namespace evvo::road {
@@ -102,6 +103,10 @@ TEST(TimeWindow, ContainsHalfOpen) {
 struct CycleCase {
   double red, green, offset;
 };
+// Readable ctest names instead of the struct's raw bytes.
+void PrintTo(const CycleCase& c, std::ostream* os) {
+  *os << "red=" << c.red << " green=" << c.green << " offset=" << c.offset;
+}
 class CycleSweep : public ::testing::TestWithParam<CycleCase> {};
 TEST_P(CycleSweep, GreenWindowsAgreeWithIsGreen) {
   const auto [red, green, offset] = GetParam();

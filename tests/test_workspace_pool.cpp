@@ -1,4 +1,4 @@
-// WorkspacePool (core/workspace_pool.hpp): warm-state affinity - acquire()
+// WorkspacePool (core/workspace_pool.hpp): route affinity - acquire()
 // must return the entry that last solved the same corridor when one is idle,
 // and fall back to LIFO (not FIFO) otherwise so caches stay hot.
 #include "core/workspace_pool.hpp"
@@ -14,7 +14,6 @@ TEST(WorkspacePool, EmptyPoolMintsFreshEntries) {
   auto entry = pool.acquire(42);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->affinity, 0u);  // never used
-  EXPECT_FALSE(entry->prev.valid);
   pool.release(std::move(entry));
   EXPECT_EQ(pool.idle_count(), 1u);
 }
@@ -30,8 +29,8 @@ TEST(WorkspacePool, AcquirePrefersMatchingAffinityOverLifo) {
   pool.release(std::move(a));
   pool.release(std::move(b));  // B is the LIFO head
 
-  // A plain LIFO list would hand corridor 111's replan entry B and both
-  // warm states would be wasted; affinity matching must return A.
+  // A plain LIFO list would hand corridor 111's solve entry B and both
+  // cached model tables would be rebuilt; affinity matching must return A.
   auto warm = pool.acquire(111);
   EXPECT_EQ(warm.get(), a_ptr);
   auto other = pool.acquire(222);
@@ -49,7 +48,7 @@ TEST(WorkspacePool, UnmatchedAffinityFallsBackToMostRecent) {
   pool.release(std::move(a));
   pool.release(std::move(b));
 
-  // No entry solved corridor 333: take the most recently released (warmest
+  // No entry solved corridor 333: take the most recently released (hottest
   // allocations), leaving the older entry idle.
   auto fresh = pool.acquire(333);
   EXPECT_EQ(fresh.get(), b_ptr);
@@ -76,7 +75,6 @@ TEST(WorkspacePool, AcquireManyOnEmptyPoolMintsFresh) {
   for (const auto& e : entries) {
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->affinity, 0u);  // never used
-    EXPECT_FALSE(e->prev.valid);
   }
   for (auto& e : entries) pool.release(std::move(e));
   EXPECT_EQ(pool.idle_count(), 3u);

@@ -11,7 +11,6 @@
 //   evvo_fuzz --inject window-shift     # prove the harness catches a fault
 //   evvo_fuzz --replay-spec bad.spec    # re-check a shrunk spec file
 //   evvo_fuzz --simd-only --count 100   # cheap vector-vs-scalar identity sweep
-//   evvo_fuzz --replan --count 100      # warm-vs-cold replan identity chains
 //   evvo_fuzz --batch --count 100       # batched-vs-standalone solve identity
 #include <atomic>
 #include <cstdint>
@@ -24,7 +23,6 @@
 
 #include "check/batch_identity.hpp"
 #include "check/invariants.hpp"
-#include "check/replan_chain.hpp"
 #include "check/scenario.hpp"
 #include "check/shrink.hpp"
 #include "common/clock.hpp"
@@ -41,9 +39,7 @@ struct Options {
   bool replay = true;
   bool reference = true;
   bool simd_only = false;  ///< strip everything but the simd-vs-scalar oracle
-  bool replan = false;     ///< run perturbation-chain warm-vs-cold identity instead
   bool batch = false;      ///< run batched-vs-standalone solve identity instead
-  std::size_t replan_steps = 8;
   std::string inject = "none";
   std::string replay_spec;  // path: check this spec instead of generating
   std::string spec_out;     // path: write the (shrunk) failing spec here
@@ -54,7 +50,7 @@ int usage(const char* argv0) {
                "usage: %s [--count N] [--seed N] [--seed-start N] [--jobs N]\n"
                "          [--inject none|window-shift|accel-tamper|energy-tamper|cost-tamper]\n"
                "          [--replay-spec FILE] [--spec-out FILE] [--no-shrink] [--no-replay]\n"
-               "          [--no-reference] [--simd-only] [--replan] [--replan-steps N] [--batch]\n",
+               "          [--no-reference] [--simd-only] [--batch]\n",
                argv0);
   return 2;
 }
@@ -99,14 +95,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.reference = false;
     } else if (arg == "--simd-only") {
       opt.simd_only = true;
-    } else if (arg == "--replan") {
-      opt.replan = true;
     } else if (arg == "--batch") {
       opt.batch = true;
-    } else if (arg == "--replan-steps") {
-      const char* v = next();
-      if (!v) return false;
-      opt.replan_steps = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
     } else {
       return false;
     }
@@ -127,50 +117,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return usage(argv[0]);
   }
-  // --replan: warm-vs-cold identity over perturbation chains, the incremental
-  // solver's oracle (src/check/replan_chain.hpp) instead of the scenario
-  // battery. Any --inject value maps to the chain's tamper self-test.
-  if (opt.replan) {
-    evvo::check::ReplanChainOptions chain;
-    chain.steps = opt.replan_steps;
-    chain.tamper = check.inject != evvo::check::Fault::kNone;
-    if (opt.single_seed) {
-      const evvo::check::ReplanChainReport report =
-          evvo::check::check_replan_chain(*opt.single_seed, chain);
-      std::printf("%s", evvo::check::replan_report_to_string(report).c_str());
-      return report.ok() ? 0 : 1;
-    }
-    const unsigned chain_jobs =
-        std::max(1u, opt.jobs ? opt.jobs : evvo::common::ThreadPool::resolve_threads(0) / 2);
-    evvo::common::ThreadPool chain_pool(chain_jobs);
-    std::atomic<std::size_t> chain_failures{0};
-    std::atomic<std::size_t> spliced{0}, striped{0}, cold{0}, relaxed{0}, total{0};
-    std::mutex chain_io;
-    const std::uint64_t t0 = evvo::common::now_ns();
-    chain_pool.parallel_for(opt.count, [&](std::size_t index) {
-      const std::uint64_t seed = opt.seed_start + index;
-      const evvo::check::ReplanChainReport report = evvo::check::check_replan_chain(seed, chain);
-      spliced.fetch_add(report.spliced_steps, std::memory_order_relaxed);
-      striped.fetch_add(report.striped_steps, std::memory_order_relaxed);
-      cold.fetch_add(report.cold_steps, std::memory_order_relaxed);
-      relaxed.fetch_add(report.relaxed_layers, std::memory_order_relaxed);
-      total.fetch_add(report.total_layers, std::memory_order_relaxed);
-      if (report.ok()) return;
-      chain_failures.fetch_add(1, std::memory_order_relaxed);
-      const std::lock_guard<std::mutex> lock(chain_io);
-      std::fprintf(stderr, "%s", evvo::check::replan_report_to_string(report).c_str());
-      std::fprintf(stderr, "replay: evvo_fuzz --replan --seed %llu\n",
-                   static_cast<unsigned long long>(seed));
-    });
-    const double chain_s = evvo::common::seconds_between_ns(t0, evvo::common::now_ns());
-    std::printf(
-        "%zu replan chain(s) checked in %.1f s (%zu spliced / %zu striped / %zu cold steps; "
-        "warm relaxed %zu/%zu layers), %zu violation(s)\n",
-        opt.count, chain_s, spliced.load(), striped.load(), cold.load(), relaxed.load(),
-        total.load(), chain_failures.load());
-    return chain_failures.load() == 0 ? 0 : 1;
-  }
-
   // --batch: batched-vs-standalone solve identity, the SoA multi-scenario
   // kernel's oracle (src/check/batch_identity.hpp). Any --inject value maps
   // to the check's tamper self-test.
