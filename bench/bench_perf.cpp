@@ -403,7 +403,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   benchmark::AddCustomContext("evvo_build", release_build ? "release" : "debug");
+  // evvo_simd is the backend the tree was compiled for; evvo_dp_kernel is the
+  // DP relaxation kernel solve_dp actually runs on this CPU (the AVX2 copy is
+  // chosen at run time, so the two differ on a default build of an AVX2 host).
   benchmark::AddCustomContext("evvo_simd", evvo::common::simd::kBackendName);
+  benchmark::AddCustomContext("evvo_dp_kernel", evvo::core::dp_kernel_name());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -203,38 +203,59 @@ void check_thread_identity(Reporter& rep, const char* mode, const SolveSet& set,
   }
 }
 
-/// Asserts a scalar-kernel solve (DpResolution::simd off, serial) is
-/// bit-identical to the vectorized serial baseline. The SIMD layer promises
-/// lane-exact IEEE arithmetic and scalar tie-breaking (common/simd.hpp); this
-/// is the oracle that holds it to that promise on every generated scenario.
+/// Asserts every relaxation kernel the build and CPU offer (the scalar
+/// scan, the baseline vector backend, and the run-time dispatched AVX2 copy
+/// where it exists) solves bit-identically to the serial baseline: table
+/// checksum, every DpStats field, best cost and extracted profile. The SIMD
+/// layer promises lane-exact IEEE arithmetic and scalar tie-breaking at any
+/// lane width (common/simd.hpp); this is the oracle that holds every kernel
+/// to that promise on every generated scenario. The kernel that produced the
+/// baseline is not solved again.
 void check_simd_identity(Reporter& rep, const DpProblem& base, core::DpWorkspace& ws,
                          const SolveSet& un) {
+  const std::vector<core::detail::DpKernelInfo> kernels = core::detail::dp_kernels();
   DpProblem p = base;
   p.checksum_tables = true;
   p.resolution.threads = 1;
-  p.resolution.simd = false;
-  const std::optional<DpSolution> scalar = core::solve_dp(p, ws, nullptr);
-  if (scalar.has_value() != un.serial.has_value()) {
-    rep.add("simd.feasibility") << "simd-off feasible=" << scalar.has_value()
-                                << " but simd-on feasible=" << un.serial.has_value();
-    rep.commit();
-    return;
-  }
-  if (!scalar) return;
-  if (scalar->stats.table_checksum != un.serial->stats.table_checksum) {
-    rep.add("simd.checksum") << std::hex << "simd-off table checksum "
-                             << scalar->stats.table_checksum << " != simd-on "
-                             << un.serial->stats.table_checksum;
-    rep.commit();
-  }
-  if (scalar->stats.best_cost_mah != un.serial->stats.best_cost_mah) {
-    rep.add("simd.cost") << "simd-off best cost " << scalar->stats.best_cost_mah
-                         << " != simd-on " << un.serial->stats.best_cost_mah;
-    rep.commit();
-  }
-  if (!profiles_bit_identical(scalar->profile, un.serial->profile)) {
-    rep.add("simd.profile") << "simd-off extracted profile differs from the simd-on profile";
-    rep.commit();
+  for (const core::detail::DpKernelInfo& kernel : kernels) {
+    if (kernel.kernel == kernels.back().kernel) continue;
+    const std::optional<DpSolution> other =
+        core::detail::solve_dp_with_kernel(p, ws, nullptr, kernel.kernel);
+    if (other.has_value() != un.serial.has_value()) {
+      rep.add("simd.feasibility") << kernel.name << " kernel feasible=" << other.has_value()
+                                  << " but the baseline solve feasible="
+                                  << un.serial.has_value();
+      rep.commit();
+      continue;
+    }
+    if (!other) continue;
+    const core::DpStats& a = other->stats;
+    const core::DpStats& b = un.serial->stats;
+    if (a.table_checksum != b.table_checksum) {
+      rep.add("simd.checksum") << std::hex << kernel.name << " kernel table checksum "
+                               << a.table_checksum << " != baseline " << b.table_checksum;
+      rep.commit();
+    }
+    if (a.best_cost_mah != b.best_cost_mah) {
+      rep.add("simd.cost") << kernel.name << " kernel best cost " << a.best_cost_mah
+                           << " != baseline " << b.best_cost_mah;
+      rep.commit();
+    }
+    if (a.layers != b.layers || a.velocity_levels != b.velocity_levels ||
+        a.time_bins != b.time_bins || a.relaxations != b.relaxations ||
+        a.frontier_states != b.frontier_states || a.pruned_states != b.pruned_states) {
+      rep.add("simd.stats") << kernel.name << " kernel work counters (relaxations "
+                            << a.relaxations << ", frontier " << a.frontier_states
+                            << ", pruned " << a.pruned_states << ") != baseline ("
+                            << b.relaxations << ", " << b.frontier_states << ", "
+                            << b.pruned_states << ")";
+      rep.commit();
+    }
+    if (!profiles_bit_identical(other->profile, un.serial->profile)) {
+      rep.add("simd.profile") << kernel.name
+                              << " kernel extracted profile differs from the baseline profile";
+      rep.commit();
+    }
   }
 }
 

@@ -57,9 +57,10 @@ struct CheckOptions {
   bool run_reference = true;
   /// Run the closed-loop microsim replay oracle.
   bool run_replay = true;
-  /// Re-solve with DpResolution::simd off and require the tables, cost, and
-  /// profile to match the vectorized solve bit-for-bit. Trivially true on
-  /// scalar-backend builds, where both paths compile to the same code.
+  /// Re-solve with every other relaxation kernel the build and CPU offer
+  /// (scalar scan, baseline vector backend, AVX2 copy) and require the
+  /// tables, stats, cost, and profile to match the default solve
+  /// bit-for-bit. Only the scalar scan exists on scalar-backend builds.
   bool run_simd_identity = true;
   /// Pool for the threaded solves. Null creates one on demand per call; the
   /// fuzz driver shares one pool across all scenarios instead.

@@ -122,16 +122,18 @@ PlanService::CacheKey PlanService::replan_key_for(const ReplanRequest& request) 
     throw std::invalid_argument("PlanService::request_replan: position outside the corridor");
   if (!std::isfinite(request.speed_ms))
     throw std::invalid_argument("PlanService::request_replan: speed must be finite");
+  // A speed off the velocity grid (negative, or rounding past the top
+  // level) is rejected here, before any counter, instead of becoming a
+  // level the solve would silently clamp.
+  const long vlevel = planner_.speed_level(MetersPerSecond(request.speed_ms));
 
   // Segment-memo quantization: snap the state to its bin's grid point. Every
   // request in the bin is served the canonical state's plan (misses solve it,
   // hits time-shift it) - the same approximation the phase and demand bins
   // already make for departures.
-  const double dv = planner_.config().resolution.dv_ms;
   const long n_hops = std::lround(planner_.corridor().length() / grid_ds_m_);
   const long layer =
       std::min(std::max(0L, std::lround(request.position_m / grid_ds_m_)), n_hops - 1);
-  const long vlevel = std::max(0L, std::lround(request.speed_ms / dv));
 
   CacheKey key = key_for(Seconds(request.time_s));
   key.layer = layer;

@@ -2,8 +2,16 @@
 // vendor intrinsics (the `raw-intrinsics` lint rule bans them everywhere
 // else). Backends: AVX2 (8 float / 4 double lanes), SSE2 (4 / 2), NEON on
 // AArch64 (4 / 2), and a scalar fallback (1 / 1) used when EVVO_SIMD is OFF
-// or the target has no supported vector ISA. The backend is fixed at compile
-// time; kernels written against this API compile unchanged on every backend.
+// or the target has no supported vector ISA. Each translation unit gets the
+// backend its own compile flags select, so kernels written against this API
+// compile unchanged on every backend.
+//
+// Everything below lives in an inline namespace named after the backend
+// (evvo::common::simd::avx2, ::sse2, ::neon, ::scalar). Code spells the plain
+// evvo::common::simd names, but the mangled symbols carry the ISA, so a TU
+// built with -mavx2 (core/dp_relax_avx2.cpp) can sit in one binary next to
+// baseline TUs without an ODR clash: the linker can never hand a baseline
+// caller an AVX2 copy of an inline function, or the reverse.
 //
 // Bit-identity contract (what makes SIMD-on vs scalar solves comparable
 // bit-for-bit in the DP solver and the microsim):
@@ -33,21 +41,27 @@
 #if defined(EVVO_SIMD_ENABLED)
 #if defined(__AVX2__)
 #define EVVO_SIMD_BACKEND_AVX2 1
+#define EVVO_SIMD_ISA avx2
 #include <immintrin.h>
 #elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
 #define EVVO_SIMD_BACKEND_SSE2 1
+#define EVVO_SIMD_ISA sse2
 #include <immintrin.h>
 #elif defined(__aarch64__) && defined(__ARM_NEON)
 #define EVVO_SIMD_BACKEND_NEON 1
+#define EVVO_SIMD_ISA neon
 #include <arm_neon.h>
 #else
 #define EVVO_SIMD_BACKEND_SCALAR 1
+#define EVVO_SIMD_ISA scalar
 #endif
 #else
 #define EVVO_SIMD_BACKEND_SCALAR 1
+#define EVVO_SIMD_ISA scalar
 #endif
 
 namespace evvo::common::simd {
+inline namespace EVVO_SIMD_ISA {
 
 #if defined(EVVO_SIMD_BACKEND_AVX2)
 inline constexpr const char* kBackendName = "avx2";
@@ -714,4 +728,5 @@ inline VecD exp(VecD x) {
   return (VecD::broadcast(1.0) + (e + e)) * pow2i(k);
 }
 
+}  // inline namespace EVVO_SIMD_ISA
 }  // namespace evvo::common::simd

@@ -68,9 +68,9 @@ std::size_t dp_batch_lanes();
 /// their keys compare equal. Everything that shapes the grid, the cached
 /// model tables, or the shared control flow is in the key; departure time,
 /// window *contents*, boundary speeds, and checksum requests are per-lane.
-/// `resolution.threads` and `.simd` are excluded: they do not affect results
-/// (bit-identical either way), so they must not split otherwise-identical
-/// groups.
+/// `resolution.threads` is excluded: it does not affect results
+/// (bit-identical at any thread count), so it must not split
+/// otherwise-identical groups.
 struct DpBatchKey {
   /// Per-event skeleton: layer placement, type, dwell, and whether windows
   /// are enforced must agree across lanes (they steer shared branches); the

@@ -18,6 +18,9 @@ inline constexpr float kDpInf = std::numeric_limits<float>::infinity();
 /// Backpointer packing: predecessor (j, k) plus a flag for same-layer dwells.
 inline constexpr std::uint32_t kDwellFlag = 0x8000'0000u;
 inline constexpr std::uint32_t kNoPred = 0xFFFF'FFFFu;
+/// Time-bin field of a packed backpointer (pred_k without the call, for the
+/// relaxation kernels).
+inline constexpr std::uint32_t kPredBinMask = 0x000F'FFFFu;
 
 /// Dominance-pruning slack. The destination selection breaks near-ties
 /// within 1e-9; pruning only drops states that are worse by more than this
@@ -30,7 +33,7 @@ inline std::uint32_t pack_pred(std::size_t j, std::size_t k, bool dwell) {
          (dwell ? kDwellFlag : 0u);
 }
 inline std::size_t pred_j(std::uint32_t p) { return (p & ~kDwellFlag) >> 20; }
-inline std::size_t pred_k(std::uint32_t p) { return p & 0x000F'FFFFu; }
+inline std::size_t pred_k(std::uint32_t p) { return p & kPredBinMask; }
 inline bool pred_is_dwell(std::uint32_t p) { return (p & kDwellFlag) != 0u && p != kNoPred; }
 
 /// FNV-1a over the route's segment payload: the workspace's model tables are

@@ -1,7 +1,6 @@
 #include "core/dp_solver.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,6 +12,7 @@
 #include "common/units.hpp"
 #include "core/dp_common.hpp"
 #include "core/dp_extract.hpp"
+#include "core/dp_relax.hpp"
 
 namespace evvo::core {
 
@@ -27,25 +27,8 @@ using detail::kPruneMargin;
 using detail::pack_pred;
 using detail::pred_is_dwell;
 using detail::pred_j;
-using detail::pred_k;
 
 constexpr float kInf = detail::kDpInf;
-
-/// Masked compare-exchange of W consecutive cells (the vector form of the
-/// scalar strict-< relaxation): each lane in `lanes` whose candidate cost
-/// beats its cell takes (cost, arrival, backpointer); every other cell is
-/// written back as it was, so all W cells must lie in a row the caller owns.
-inline void compare_exchange(float* cost, float* time, std::uint32_t* back,
-                             common::simd::MaskF lanes, common::simd::VecF cand,
-                             common::simd::VecF arrive, common::simd::VecI32 pred) {
-  namespace sd = common::simd;
-  const sd::VecF cur = sd::VecF::load(cost);
-  const sd::MaskF take = sd::mask_and(lanes, sd::cmp_lt(cand, cur));
-  sd::select(take, cand, cur).store(cost);
-  sd::select(take, arrive, sd::VecF::load(time)).store(time);
-  auto* back_i = reinterpret_cast<std::int32_t*>(back);
-  sd::select(take, pred, sd::VecI32::load(back_i)).store(back_i);
-}
 
 /// Smallest float `a` for which `holds(a)` is true, where `holds` is
 /// monotone in `a` (false below a threshold, true from it on). An exact
@@ -58,6 +41,33 @@ float least_float_where(float seed, Pred holds) {
   while (t < kFInf && !holds(t)) t = std::nextafterf(t, kFInf);
   for (float p = std::nextafterf(t, -kFInf); holds(p); p = std::nextafterf(t, -kFInf)) t = p;
   return t;
+}
+
+/// The kernel solve_dp runs: the -mavx2 copy when the build has one and
+/// the running CPU reports AVX2, else the
+/// baseline vector kernel, else (scalar backend) the scalar scan. The CPU is
+/// asked once per process.
+detail::DpKernel best_kernel() {
+#if defined(EVVO_DP_AVX2_KERNEL)
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  if (avx2) return detail::DpKernel::kAvx2;
+#endif
+  return common::simd::kHasSimd ? detail::DpKernel::kVector : detail::DpKernel::kScalar;
+}
+
+detail::DpKernelInfo kernel_info(detail::DpKernel kernel) {
+  switch (kernel) {
+    case detail::DpKernel::kAvx2:
+      return {kernel, "avx2", 8};
+    case detail::DpKernel::kVector:
+      return {kernel, common::simd::kBackendName, common::simd::VecF::kWidth};
+    case detail::DpKernel::kScalar:
+      break;
+  }
+  return {detail::DpKernel::kScalar, "scalar", 1};
 }
 
 }  // namespace
@@ -206,9 +216,10 @@ namespace detail {
 /// relaxes into them, so no full-grid clear ever happens.
 class DpEngine {
  public:
-  DpEngine(const DpProblem& problem, DpWorkspace& ws, common::ThreadPool* pool)
+  DpEngine(const DpProblem& problem, DpWorkspace& ws, common::ThreadPool* pool,
+           DpKernel kernel)
       : problem_(problem), ws_(ws), pool_(pool), route_(*problem.route),
-        energy_(*problem.energy), res_(problem.resolution) {}
+        energy_(*problem.energy), res_(problem.resolution), kernel_(kernel) {}
 
   std::optional<DpSolution> run();
 
@@ -229,6 +240,7 @@ class DpEngine {
   const road::Route& route_;
   const ev::EnergyModel& energy_;
   const DpResolution& res_;
+  const DpKernel kernel_;
 
   // Grid geometry.
   std::size_t n_hops_ = 0, n_layers_ = 0, n_v_ = 0, n_t_ = 0, layer_size_ = 0;
@@ -237,8 +249,8 @@ class DpEngine {
 
   double lambda_ = 0.0, idle_mah_s_ = 0.0;
   float idle_step_cost_ = 0.0f;
-  /// Vector relaxation kernel enabled (compiled backend has lanes AND the
-  /// resolution asks for it). Either value is bit-identical (see header).
+  /// A vector relaxation kernel runs (any kernel is bit-identical; see
+  /// header).
   bool use_simd_ = false;
   /// 1 / dt_s when dt_s is a power of two (incl. the default 1.0), else 0.
   /// Multiplying by an exact power-of-two reciprocal is bit-identical to the
@@ -307,7 +319,7 @@ std::optional<DpSolution> DpEngine::run() {
   int dt_exp = 0;
   inv_dt_ = std::frexp(res_.dt_s, &dt_exp) == 0.5 ? 1.0 / res_.dt_s : 0.0;
 
-  use_simd_ = common::simd::kHasSimd && res_.simd;
+  use_simd_ = kernel_ != DpKernel::kScalar;
 
   // Exact float images of the horizon test and of the time binning. The
   // scalar relaxation checks `(double)arrive - depart >= horizon` and bins
@@ -448,7 +460,7 @@ bool DpEngine::relax_layer(std::size_t i) {
   // window-membership column is only consulted by the relaxation when
   // check_windows is set, so ordinary layers skip writing it entirely.
   {
-    const std::size_t cap = j_end * n_t_ + common::simd::VecF::kWidth;
+    const std::size_t cap = j_end * n_t_ + kMaxRelaxLanes;
     if (ws_.src_pred_.size() < cap) {
       ws_.src_pred_.resize(cap);
       ws_.src_cost_.resize(cap);
@@ -518,13 +530,13 @@ bool DpEngine::relax_layer(std::size_t i) {
   // uninitialized.
   if (n_src == 0) return false;
 
-  // Sentinel padding: the vector kernel loads full VecF-width chunks, so the
-  // last row's final chunk may read up to kWidth-1 entries past the list.
-  // +inf times make those lanes permanently over-horizon (never scattered);
-  // row_begin_ is already final, so no row sees them as sources. Appended
-  // after the frontier stats so counters stay identical to the scalar build
-  // (kWidth == 1 appends nothing).
-  for (std::size_t p = 0; p + 1 < common::simd::VecF::kWidth; ++p) {
+  // Sentinel padding: a vector kernel loads full-width chunks, so the last
+  // row's final chunk may read up to lanes-1 entries past the list; padding
+  // for the widest kernel any build compiles covers every kernel. +inf times
+  // make those lanes permanently over-horizon (never scattered); row_begin_
+  // is already final, so no row sees them as sources, and the frontier stats
+  // above never count them.
+  for (std::size_t p = 0; p + 1 < kMaxRelaxLanes; ++p) {
     out_pred[n] = 0;
     out_cost[n] = std::numeric_limits<float>::infinity();
     out_time[n] = std::numeric_limits<float>::infinity();
@@ -559,201 +571,69 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
   const telemetry::TraceSpan stripe_span(stripe_hist, "dp.stripe_relax");
 
   const LayerEvent* event = event_at_[i];
-  const bool is_sign = event && event->type == LayerEvent::Type::kStopSign;
-  const bool is_signal = event && event->type == LayerEvent::Type::kSignal;
-  const bool check_windows = is_signal && event->enforce_windows;
   const LayerEvent* next_event = event_at_[i + 1];
-  const bool next_is_sign = next_event && next_event->type == LayerEvent::Type::kStopSign;
-  const bool next_is_dest = (i + 1 == n_layers_ - 1);
-  const double next_limit = ws_.layer_limit_[i + 1];
-  const double depart = problem_.depart_time.value();
-  const double horizon = res_.horizon_s;
-  const double dt_s = res_.dt_s;
-  const double inv_dt = inv_dt_;
   const std::size_t table_base = static_cast<std::size_t>(ws_.layer_class_[i]) * n_v_ * n_v_;
-  const float* energy_table = ws_.grade_energy_.data() + table_base;
-  const float* fused_table = ws_.grade_fused_.data() + table_base;
-
   const std::size_t next_base = (i + 1) * layer_size_;
   float* cost = ws_.cost_.data() + next_base;
-  float* time = ws_.time_.data() + next_base;
-  std::uint32_t* back = ws_.back_.data() + next_base;
-  std::size_t relaxations = 0;
-  std::size_t simd_chunks = 0;       // vector iterations taken this stripe
-  std::size_t simd_lanes_used = 0;   // lanes that survived the stop mask
-  std::size_t fast_chunks = 0;       // chunks binned by the edge table
-
-  // Loop invariants of the vector kernel, hoisted: rows can be short, so
-  // per-hop setup cost is visible. (Cheap no-ops on the scalar backend.)
-  namespace sd = common::simd;
-  constexpr auto W = static_cast<std::uint32_t>(sd::VecF::kWidth);
-  constexpr auto Dw = static_cast<std::uint32_t>(sd::VecD::kWidth);
-  constexpr unsigned full = (1u << W) - 1u;
-  const bool vec_path = use_simd_ && !check_windows;
-  const bool fast_path = vec_path && !is_sign;
-  const bool use_inv = inv_dt != 0.0;
-  const std::uint32_t* const src_pred = ws_.src_pred_.data();
-  const sd::VecF v_thresh = sd::VecF::broadcast(over_thresh_f_);
-  const sd::VecD v_depart = sd::VecD::broadcast(depart);
-  const sd::VecD v_scale = sd::VecD::broadcast(use_inv ? inv_dt : dt_s);
-  float arrive_buf[W];
-  float cost_buf[W];
-  std::int32_t k2_buf[2 * Dw];  // == W on vector backends; 2 on scalar (dead path)
 
   // Lazy reset: this stripe owns rows [j2_begin, j2_end) of layer i + 1, so
   // it clears exactly those before relaxing into them. (No memset: +inf is
   // not a repeated-byte pattern.)
   std::fill(cost + j2_begin * n_t_, cost + j2_end * n_t_, kInf);
 
-  for (std::size_t j2 = j2_begin; j2 < j2_end; ++j2) {
-    const double v2 = static_cast<double>(j2) * res_.dv_ms;
-    if (v2 > next_limit + 1e-9) continue;
-    if (next_is_sign && j2 != 0) continue;       // stop signs: arrive stopped
-    if (next_is_dest && j2 != j_dest_) continue;  // terminal speed constraint
-    for (std::uint32_t h = ws_.rev_begin_[j2]; h < ws_.rev_begin_[j2 + 1]; ++h) {
-      const Rev hop = ws_.rev_hops_[h];
-      const std::size_t j = hop.j_from;
-      if (is_sign && j != 0) continue;  // stop signs are left from standstill
-      const float fused = fused_table[j * n_v_ + j2];
-      const float raw = energy_table[j * n_v_ + j2];
-      const float lambda_dt = static_cast<float>(lambda_ * hop.dt);
-      const float smooth_f =
-          smooth_by_diff_[j2 >= j ? j2 - j : j - j2];
-      if (vec_path) {
-        // Vector relaxation, kWidth sources per step. Every arithmetic step
-        // is the scalar sequence applied lane-wise (float add for the
-        // arrival, the exact float image of the horizon test, float add for
-        // the candidate cost), and each chunk is binned and scattered by one
-        // of two routes that both reproduce the scalar strict-< relaxation
-        // in ascending source order, so tie-breaking, stats, and tables match
-        // the scalar path bit for bit.
-        const sd::VecF v_hop_dt = sd::VecF::broadcast(hop.dt);
-        const sd::VecF v_fused = sd::VecF::broadcast(fused);
-        float* crow = cost + j2 * n_t_;
-        float* trow = time + j2 * n_t_;
-        std::uint32_t* brow = back + j2 * n_t_;
-        // Whole-bin shift of the hop: a source in bin k usually lands in bin
-        // k + shift or k + shift + 1. A guess only; the lanes verify it.
-        const auto shift = static_cast<std::size_t>(use_inv ? static_cast<double>(hop.dt) * inv_dt
-                                                            : static_cast<double>(hop.dt) / dt_s);
-        const std::uint32_t row_end = ws_.row_begin_[j + 1];
-        for (std::uint32_t s = ws_.row_begin_[j]; s < row_end; s += W) {
-          const auto n = std::min<std::uint32_t>(W, row_end - s);
-          // Full-width loads are safe: the gather appended W-1 sentinels
-          // past the last row, and interior rows are followed by real data.
-          const sd::VecF arrive = sd::VecF::load(ws_.src_time_.data() + s) + v_hop_dt;
-          const auto over = static_cast<unsigned>(sd::movemask(sd::cmp_ge(arrive, v_thresh)));
-          const sd::VecF cand = sd::VecF::load(ws_.src_cost_.data() + s) + v_fused;
-          ++simd_chunks;
-          // Edge-table route. It applies when the chunk is full, no lane is
-          // over the horizon, the sources sit in consecutive bins k0 + l
-          // (same row, so packed backpointers differ by the bin alone), and
-          // every lane lands in bin b + l or b + l + 1 with b = k0 + shift,
-          // i.e. edge[b + l] <= arrive < edge[b + l + 2]. Lane l then
-          // targets cell b + l + up_l, so two lanes can share a cell only
-          // when an up lane l meets a not-up lane l + 1. Exchanging the up
-          // lanes first and the rest second therefore replays the scalar
-          // source order exactly. Both passes stay inside [b, b + W] of this
-          // stripe's own row, hence the b + 1 + W <= n_t bound.
-          if (fast_path && n == W && over == 0 && src_pred[s + W - 1] - src_pred[s] == W - 1) {
-            const std::size_t b = pred_k(src_pred[s]) + shift;
-            if (b + 1 + W <= n_t_) {
-              const float* edge = bin_edge_.data() + b;
-              const sd::MaskF in = sd::mask_and(sd::cmp_ge(arrive, sd::VecF::load(edge)),
-                                                sd::cmp_lt(arrive, sd::VecF::load(edge + 2)));
-              if (static_cast<unsigned>(sd::movemask(in)) == full) {
-                const sd::MaskF up = sd::cmp_ge(arrive, sd::VecF::load(edge + 1));
-                const auto up_bits = static_cast<unsigned>(sd::movemask(up));
-                const sd::VecI32 pred =
-                    sd::VecI32::load(reinterpret_cast<const std::int32_t*>(src_pred + s));
-                if (up_bits != 0) {
-                  compare_exchange(crow + b + 1, trow + b + 1, brow + b + 1, up, cand, arrive,
-                                   pred);
-                }
-                if (up_bits != full) {
-                  compare_exchange(crow + b, trow + b, brow + b, sd::mask_andnot(in, up), cand,
-                                   arrive, pred);
-                }
-                relaxations += W;
-                simd_lanes_used += W;
-                ++fast_chunks;
-                continue;
-              }
-            }
-          }
-          // Exact route: widen-to-double subtract for the elapsed time, the
-          // same *inv_dt-or-/dt binning, and a scalar scatter in source order.
-          const sd::VecD e_lo = sd::widen_low(arrive) - v_depart;
-          const sd::VecD e_hi = sd::widen_high(arrive) - v_depart;
-          const sd::VecD k_lo = use_inv ? e_lo * v_scale : e_lo / v_scale;
-          const sd::VecD k_hi = use_inv ? e_hi * v_scale : e_hi / v_scale;
-          sd::trunc_store_i32(k_lo, k2_buf);
-          sd::trunc_store_i32(k_hi, k2_buf + Dw);
-          cand.store(cost_buf);
-          arrive.store(arrive_buf);
-          // Lanes beyond the row (n < W) count as stopped; processing halts
-          // at the first over-horizon or out-of-row lane, exactly where the
-          // scalar `break` would (source times ascend within a row).
-          const unsigned valid = n == W ? full : (1u << n) - 1u;
-          const unsigned stop = ((over & valid) | ~valid) & full;
-          const std::uint32_t n_ok =
-              stop != 0 ? static_cast<std::uint32_t>(std::countr_zero(stop)) : W;
-          for (std::uint32_t l = 0; l < n_ok; ++l) {
-            const auto k2 = static_cast<std::size_t>(k2_buf[l]);
-            const float new_cost = cost_buf[l];
-            if (new_cost < crow[k2]) {
-              crow[k2] = new_cost;
-              trow[k2] = arrive_buf[l];
-              brow[k2] = src_pred[s + l];
-            }
-          }
-          relaxations += n_ok;
-          simd_lanes_used += n_ok;
-          if (n_ok < W) break;
-        }
-        continue;
-      }
-      for (std::uint32_t s = ws_.row_begin_[j]; s < ws_.row_begin_[j + 1]; ++s) {
-        const float arrive_t = ws_.src_time_[s] + hop.dt;
-        const double elapsed = static_cast<double>(arrive_t) - depart;
-        // Source times ascend within a row, so the whole tail is over too.
-        if (elapsed >= horizon) break;
-        float hop_cost;
-        if (check_windows) {
-          // Signal crossing happens when leaving the signal's layer.
-          hop_cost = static_cast<float>(penalized_cost(problem_.penalty,
-                                                       static_cast<double>(raw),
-                                                       ws_.src_inside_[s] != 0));
-          if (!std::isfinite(hop_cost)) continue;
-          hop_cost += lambda_dt;
-          hop_cost += smooth_f;
-        } else {
-          hop_cost = fused;
-        }
-        const auto k2 = static_cast<std::size_t>(inv_dt != 0.0 ? elapsed * inv_dt
-                                                               : elapsed / dt_s);
-        const float new_cost = ws_.src_cost_[s] + hop_cost;
-        const std::size_t to = j2 * n_t_ + k2;
-        ++relaxations;
-        if (new_cost < cost[to]) {
-          cost[to] = new_cost;
-          time[to] = arrive_t;
-          back[to] = ws_.src_pred_[s];
-        }
-      }
-    }
-  }
-  stripe_relaxations_[stripe] += relaxations;
+  const StripeArgs args{
+      .cost = cost,
+      .time = ws_.time_.data() + next_base,
+      .back = ws_.back_.data() + next_base,
+      .j2_begin = j2_begin,
+      .j2_end = j2_end,
+      .n_v = n_v_,
+      .n_t = n_t_,
+      .j_dest = j_dest_,
+      .dv_ms = res_.dv_ms,
+      .next_limit = ws_.layer_limit_[i + 1],
+      .next_is_sign = next_event && next_event->type == LayerEvent::Type::kStopSign,
+      .next_is_dest = i + 1 == n_layers_ - 1,
+      .is_sign = event && event->type == LayerEvent::Type::kStopSign,
+      .check_windows = event && event->type == LayerEvent::Type::kSignal && event->enforce_windows,
+      .vector = use_simd_,
+      .rev_begin = ws_.rev_begin_.data(),
+      .rev_hops = ws_.rev_hops_.data(),
+      .energy_table = ws_.grade_energy_.data() + table_base,
+      .fused_table = ws_.grade_fused_.data() + table_base,
+      .smooth_by_diff = smooth_by_diff_.data(),
+      .lambda = lambda_,
+      .penalty = &problem_.penalty,
+      .row_begin = ws_.row_begin_.data(),
+      .src_pred = ws_.src_pred_.data(),
+      .src_cost = ws_.src_cost_.data(),
+      .src_time = ws_.src_time_.data(),
+      .src_inside = ws_.src_inside_.data(),
+      .depart = problem_.depart_time.value(),
+      .horizon = res_.horizon_s,
+      .dt_s = res_.dt_s,
+      .inv_dt = inv_dt_,
+      .over_thresh_f = over_thresh_f_,
+      .bin_edge = bin_edge_.data(),
+  };
+#if defined(EVVO_DP_AVX2_KERNEL)
+  const StripeCounts done =
+      kernel_ == DpKernel::kAvx2 ? avx2::relax_stripe(args) : base::relax_stripe(args);
+#else
+  const StripeCounts done = base::relax_stripe(args);
+#endif
+  stripe_relaxations_[stripe] += done.relaxations;
 
-  // Lane utilization = used / capacity. Local accumulation above keeps the
-  // inner loop free of atomics; one add per stripe lands in the registry.
-  if (simd_chunks != 0) {
+  // Lane utilization = used / capacity. Local accumulation in the kernel
+  // keeps its inner loop free of atomics; one add per stripe lands in the
+  // registry.
+  if (done.simd_chunks != 0) {
     static telemetry::Counter& lanes_used_ctr = telemetry::counter("dp.simd_lanes_used");
     static telemetry::Counter& lanes_cap_ctr = telemetry::counter("dp.simd_lanes_capacity");
     static telemetry::Counter& fast_chunks_ctr = telemetry::counter("dp.relax.fast_chunks");
-    lanes_used_ctr.add(static_cast<long>(simd_lanes_used));
-    lanes_cap_ctr.add(static_cast<long>(simd_chunks * W));
-    fast_chunks_ctr.add(static_cast<long>(fast_chunks));
+    lanes_used_ctr.add(static_cast<long>(done.lanes_used));
+    lanes_cap_ctr.add(static_cast<long>(done.simd_chunks * done.lanes));
+    fast_chunks_ctr.add(static_cast<long>(done.fast_chunks));
   }
 }
 
@@ -777,8 +657,32 @@ std::optional<DpSolution> solve_dp(const DpProblem& problem) {
 std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace,
                                    common::ThreadPool* pool) {
   problem.validate();
-  detail::DpEngine engine(problem, workspace, pool);
+  detail::DpEngine engine(problem, workspace, pool, best_kernel());
   return engine.run();
 }
+
+const char* dp_kernel_name() { return kernel_info(best_kernel()).name; }
+
+namespace detail {
+
+std::vector<DpKernelInfo> dp_kernels() {
+  std::vector<DpKernelInfo> kernels{kernel_info(DpKernel::kScalar)};
+  if (common::simd::kHasSimd) kernels.push_back(kernel_info(DpKernel::kVector));
+  if (best_kernel() == DpKernel::kAvx2) kernels.push_back(kernel_info(DpKernel::kAvx2));
+  return kernels;
+}
+
+std::optional<DpSolution> solve_dp_with_kernel(const DpProblem& problem, DpWorkspace& workspace,
+                                               common::ThreadPool* pool, DpKernel kernel) {
+  const std::vector<DpKernelInfo> kernels = dp_kernels();
+  if (std::none_of(kernels.begin(), kernels.end(),
+                   [kernel](const DpKernelInfo& k) { return k.kernel == kernel; }))
+    throw std::invalid_argument("solve_dp_with_kernel: kernel not available on this build/CPU");
+  problem.validate();
+  DpEngine engine(problem, workspace, pool, kernel);
+  return engine.run();
+}
+
+}  // namespace detail
 
 }  // namespace evvo::core

@@ -36,7 +36,7 @@
 //    destination rows and scans source states, so no two threads ever write
 //    the same cell and results are bit-identical at every thread count.
 //  - SIMD relaxation: away from enforced signal windows the inner source
-//    scan runs VecF::kWidth states per step (common/simd.hpp). The arrival
+//    scan runs one vector of states per step (common/simd.hpp). The arrival
 //    time, horizon test, and candidate cost are computed lane-wise with
 //    exactly the scalar operation sequence. A full chunk whose sources sit
 //    in consecutive time bins is binned by float compares against a
@@ -48,9 +48,15 @@
 //    (ragged, over the horizon, non-consecutive, a lane off the expected
 //    pair of bins, or a stop-sign layer) takes the exact route: double
 //    binning and a scalar strict-< scatter in source order. Either way the
-//    solve (tables, stats, ties) is bit-identical to the scalar path.
-//    DpResolution::simd toggles the kernel at runtime for differential
-//    checking.
+//    solve (tables, stats, ties) is bit-identical to the scalar path, at
+//    any lane width.
+//  - Run-time kernel selection: the relaxation loop is a kernel over plain
+//    pointers (core/dp_relax.hpp) compiled once with the tree's flags (SSE2,
+//    NEON, or scalar) and, on x86-64 builds with the baseline ISA, once more
+//    with -mavx2. solve_dp runs the AVX2 copy (8 lanes) when the CPU reports
+//    AVX2, else the baseline one; dp_kernel_name() says which.
+//    detail::solve_dp_with_kernel forces any kernel, the scalar scan
+//    included, for differential checking.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +65,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "core/dp_relax.hpp"
 #include "core/penalty.hpp"
 #include "core/planned_profile.hpp"
 #include "ev/energy_model.hpp"
@@ -86,12 +93,6 @@ struct DpResolution {
   /// Any value yields bit-identical solutions (gather formulation); 1 runs
   /// the serial path with no pool involvement at all.
   unsigned threads = 0;
-  /// Use the vectorized relaxation kernel (common/simd.hpp) when the build
-  /// compiled a non-scalar backend. Either setting yields bit-identical
-  /// solutions and stats - the check harness solves both ways and compares
-  /// table checksums - so this exists for differential testing and triage,
-  /// not tuning. No effect on cached model tables (not part of ModelKey).
-  bool simd = true;
 
   void validate() const;
 };
@@ -241,10 +242,7 @@ class DpWorkspace {
     float dt = 0.0f;     ///< travel time over one distance step
     float accel = 0.0f;  ///< constant acceleration
   };
-  struct RevHop {
-    std::uint32_t j_from = 0;
-    float dt = 0.0f;
-  };
+  using RevHop = detail::RevHop;
 
   /// Fingerprint of everything the model tables depend on. The route is
   /// hashed by content (replanning solves over short-lived suffix routes
@@ -317,5 +315,40 @@ class DpWorkspace {
 /// serial sweep either way.
 [[nodiscard]] std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace,
                                    common::ThreadPool* pool = nullptr);
+
+/// Name of the relaxation kernel solve_dp runs: "avx2", "sse2", "neon" or
+/// "scalar". Fixed for the process: it depends on the build and the running
+/// CPU only.
+[[nodiscard]] const char* dp_kernel_name();
+
+namespace detail {
+
+/// The relaxation kernels a build can hold. Every one is bit-identical to
+/// every other; this is a seam for the identity oracles and tests, not a
+/// tuning knob.
+enum class DpKernel : std::uint8_t {
+  kScalar,  ///< the scalar source scan (solve_dp's choice on scalar-backend builds)
+  kVector,  ///< the build's baseline vector backend (sse2, neon; avx2 under EVVO_SIMD_ARCH=avx2)
+  kAvx2,    ///< the run-time dispatched -mavx2 copy
+};
+
+struct DpKernelInfo {
+  DpKernel kernel = DpKernel::kScalar;
+  const char* name = "scalar";
+  std::size_t lanes = 1;  ///< float lanes per vector step
+};
+
+/// Kernels this build compiled that the running CPU can execute, scalar
+/// first; the last entry is the one solve_dp runs.
+[[nodiscard]] std::vector<DpKernelInfo> dp_kernels();
+
+/// solve_dp with the relaxation kernel forced. Throws
+/// std::invalid_argument for a kernel dp_kernels() does not list.
+[[nodiscard]] std::optional<DpSolution> solve_dp_with_kernel(const DpProblem& problem,
+                                                             DpWorkspace& workspace,
+                                                             common::ThreadPool* pool,
+                                                             DpKernel kernel);
+
+}  // namespace detail
 
 }  // namespace evvo::core

@@ -189,6 +189,17 @@ PlannedProfile VelocityPlanner::plan(
   return plan_with_stats(depart_time, std::move(arrivals)).profile;
 }
 
+long VelocityPlanner::speed_level(MetersPerSecond speed) const {
+  const double speed_ms = speed.value();  // .value() seam
+  const double dv = config_.resolution.dv_ms;
+  // lround(x) <= top exactly when x < top + 0.5 (x >= 0); comparing in
+  // double keeps huge speeds away from lround. Written so that NaN fails.
+  const double top = std::floor(corridor_.route.max_speed_limit() / dv);
+  if (!(speed_ms >= 0.0 && speed_ms / dv < top + 0.5))
+    throw std::invalid_argument("VelocityPlanner: speed outside the velocity grid");
+  return std::lround(speed_ms / dv);
+}
+
 PlannedProfile VelocityPlanner::replan(
     Meters position, MetersPerSecond speed, Seconds time,
     std::shared_ptr<const traffic::ArrivalRateProvider> arrivals) const {
@@ -200,6 +211,7 @@ PlannedProfile VelocityPlanner::replan(
     throw std::invalid_argument("VelocityPlanner::replan: position outside the corridor");
   if (!std::isfinite(speed_ms) || !std::isfinite(time_s))
     throw std::invalid_argument("VelocityPlanner::replan: speed and time must be finite");
+  (void)speed_level(speed);
   road::Corridor rest = road::corridor_suffix(corridor_, position_m);
   // Elements closer than one grid step count as already passed (they would
   // otherwise snap to the boundary layer).

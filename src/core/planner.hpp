@@ -87,10 +87,19 @@ class VelocityPlanner {
   /// time. The returned profile is expressed in the original corridor
   /// coordinates (it starts at `position_m`). Regulatory elements within one
   /// grid step of the position are treated as already passed. Throws
-  /// std::invalid_argument for a position off the corridor or a non-finite
-  /// position, speed or time.
+  /// std::invalid_argument for a position off the corridor, a non-finite
+  /// position, speed or time, or a speed off the velocity grid (see
+  /// speed_level).
   [[nodiscard]] PlannedProfile replan(Meters position, MetersPerSecond speed, Seconds time,
                         std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;
+
+  /// Velocity-grid level of a replan start speed, round(speed / dv). Throws
+  /// std::invalid_argument for a speed off the grid: negative, NaN, or
+  /// rounding past the top level floor(max speed limit / dv) - that is, more
+  /// than half a step above the corridor's top grid speed. replan() and
+  /// PlanService's replan binning share this one definition, so a speed is
+  /// rejected up front instead of being clamped onto the grid.
+  [[nodiscard]] long speed_level(MetersPerSecond speed) const;
 
  private:
   struct Runtime;

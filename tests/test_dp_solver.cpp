@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 
@@ -77,8 +79,10 @@ TEST(DpSolver, RejectsNonFiniteDepartureTime) {
 TEST(DpSolver, EdgeTableBinsNearlyEveryVectorChunkOfAColdUs25Solve) {
   // The edge-table route of the vector relaxation is bit-identical to the
   // exact route, so identity tests pass whether or not it ever fires. This
-  // pins that it does: on a SIMD build a cold US-25 solve bins at least 90%
-  // of its vector chunks through it, and a scalar solve bins none.
+  // pins that it does: with a vector kernel selected, a cold US-25 solve
+  // bins at least 90% of its vector chunks through it, and a scalar solve
+  // bins none. Chunks are counted at the selected kernel's width (8 lanes
+  // for the AVX2 kernel, whatever the build's baseline backend).
   const road::Corridor corridor = road::make_us25_corridor();
   const ev::EnergyModel energy;
   PlannerConfig cfg;
@@ -97,21 +101,112 @@ TEST(DpSolver, EdgeTableBinsNearlyEveryVectorChunkOfAColdUs25Solve) {
 
   const telemetry::Counter& fast = telemetry::counter("dp.relax.fast_chunks");
   const telemetry::Counter& capacity = telemetry::counter("dp.simd_lanes_capacity");
-  constexpr auto kWidth = static_cast<long>(common::simd::VecF::kWidth);
-  for (const bool simd : {true, false}) {
-    problem.resolution.simd = simd;
+  const detail::DpKernelInfo selected = detail::dp_kernels().back();
+  const auto lanes = static_cast<long>(selected.lanes);
+  for (const bool scalar : {false, true}) {
     const long fast0 = fast.value();
     const long capacity0 = capacity.value();
     DpWorkspace workspace;
-    ASSERT_TRUE(solve_dp(problem, workspace).has_value());
+    ASSERT_TRUE((scalar ? detail::solve_dp_with_kernel(problem, workspace, nullptr,
+                                                       detail::DpKernel::kScalar)
+                        : solve_dp(problem, workspace))
+                    .has_value());
     const long fast_chunks = fast.value() - fast0;
-    const long chunks = (capacity.value() - capacity0) / kWidth;
-    if (common::simd::kHasSimd && simd) {
+    const long chunks = (capacity.value() - capacity0) / lanes;
+    if (selected.kernel != detail::DpKernel::kScalar && !scalar) {
       ASSERT_GT(chunks, 0);
       EXPECT_GE(static_cast<double>(fast_chunks), 0.9 * static_cast<double>(chunks))
           << fast_chunks << " of " << chunks << " chunks";
     } else {
-      EXPECT_EQ(fast_chunks, 0) << "simd=" << simd;
+      EXPECT_EQ(fast_chunks, 0) << "scalar=" << scalar;
+    }
+  }
+}
+
+bool profiles_bit_identical(const PlannedProfile& a, const PlannedProfile& b) {
+  const auto& na = a.nodes();
+  const auto& nb = b.nodes();
+  return na.size() == nb.size() &&
+         (na.empty() || std::memcmp(na.data(), nb.data(), na.size() * sizeof(PlanNode)) == 0);
+}
+
+bool same_stats(const DpStats& a, const DpStats& b) {
+  return a.layers == b.layers && a.velocity_levels == b.velocity_levels &&
+         a.time_bins == b.time_bins && a.relaxations == b.relaxations &&
+         a.frontier_states == b.frontier_states && a.pruned_states == b.pruned_states &&
+         std::memcmp(&a.best_cost_mah, &b.best_cost_mah, sizeof a.best_cost_mah) == 0 &&
+         a.table_checksum == b.table_checksum;
+}
+
+TEST(DpSolver, EveryKernelSolvesTheUs25GoldenProblemIdentically) {
+  // The golden-checksum problem of test_dp_parallel, solved once per
+  // relaxation kernel the build and CPU offer (scalar, the baseline vector
+  // backend, and the run-time dispatched AVX2 copy where it exists), in both
+  // pruning modes: table checksum, every DpStats field, the best-cost bits
+  // and the extracted profile must all agree with the scalar scan.
+  const road::Corridor corridor = road::make_us25_corridor();
+  const ev::EnergyModel energy;
+  PlannerConfig cfg;
+  cfg.policy = SignalPolicy::kQueueAware;
+  cfg.resolution.ds_m = 15.0;
+  cfg.resolution.dv_ms = 1.0;
+  cfg.resolution.dt_s = 1.0;
+  cfg.resolution.horizon_s = 480.0;
+  cfg.resolution.threads = 1;
+  const VelocityPlanner planner(corridor, energy, cfg);
+  DpProblem problem;
+  problem.route = &corridor.route;
+  problem.energy = &energy;
+  problem.depart_time = Seconds(60.0);
+  problem.resolution = cfg.resolution;
+  problem.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
+  problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
+  problem.events = planner.build_events(
+      problem.depart_time, std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(600.0)));
+  problem.checksum_tables = true;
+
+  const std::vector<detail::DpKernelInfo> kernels = detail::dp_kernels();
+  ASSERT_EQ(kernels.front().kernel, detail::DpKernel::kScalar);
+  EXPECT_STREQ(kernels.back().name, dp_kernel_name());
+  if (common::simd::kHasSimd) {
+    EXPECT_GE(kernels.size(), 2u);
+  }
+  for (const bool pruning : {false, true}) {
+    problem.dominance_pruning = pruning;
+    DpWorkspace workspace;
+    const auto scalar = detail::solve_dp_with_kernel(problem, workspace, nullptr,
+                                                     detail::DpKernel::kScalar);
+    ASSERT_TRUE(scalar.has_value());
+    EXPECT_NE(scalar->stats.table_checksum, 0u);
+    for (const detail::DpKernelInfo& kernel : kernels) {
+      const auto solution = detail::solve_dp_with_kernel(problem, workspace, nullptr, kernel.kernel);
+      ASSERT_TRUE(solution.has_value()) << kernel.name;
+      EXPECT_TRUE(same_stats(solution->stats, scalar->stats))
+          << kernel.name << " pruning=" << pruning << " checksum " << std::hex
+          << solution->stats.table_checksum << " vs scalar " << scalar->stats.table_checksum;
+      EXPECT_TRUE(profiles_bit_identical(solution->profile, scalar->profile))
+          << kernel.name << " pruning=" << pruning;
+    }
+  }
+}
+
+TEST(DpSolver, UnavailableKernelIsRejected) {
+  const road::Route route = flat_route(500.0);
+  const ev::EnergyModel energy;
+  const std::vector<detail::DpKernelInfo> kernels = detail::dp_kernels();
+  DpWorkspace workspace;
+  for (const detail::DpKernel kernel :
+       {detail::DpKernel::kScalar, detail::DpKernel::kVector, detail::DpKernel::kAvx2}) {
+    const bool listed = std::any_of(kernels.begin(), kernels.end(),
+                                    [kernel](const auto& k) { return k.kernel == kernel; });
+    if (listed) {
+      EXPECT_TRUE(detail::solve_dp_with_kernel(base_problem(route, energy), workspace, nullptr,
+                                               kernel)
+                      .has_value());
+    } else {
+      EXPECT_THROW((void)detail::solve_dp_with_kernel(base_problem(route, energy), workspace,
+                                                      nullptr, kernel),
+                   std::invalid_argument);
     }
   }
 }

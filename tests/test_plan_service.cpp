@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -184,6 +185,48 @@ TEST(PlanService, NonFiniteRequestFieldsAreRejectedUncounted) {
   EXPECT_EQ(stats.rejections, 0);
   EXPECT_EQ(stats.queue_depth, 0);
   EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs + stats.rejections);
+}
+
+TEST(PlanService, OffGridReplanSpeedsAreRejectedUncounted) {
+  // A negative speed used to bin to velocity level 0 and a speed above the
+  // grid to a level past it, both then clamped inside the solve. Each is an
+  // invalid_argument before any lookup, through the single and the batch
+  // entry points, and nothing is counted. The top grid speed itself and a
+  // speed just under half a step above it still bin onto the grid.
+  const core::VelocityPlanner planner = make_planner();
+  const double dv = planner.config().resolution.dv_ms;
+  const double top = std::floor(planner.corridor().route.max_speed_limit() / dv) * dv;
+  PlanService service(make_planner(), demand(765.0));
+  for (const double bad : {-0.1, -dv, top + 0.5 * dv, top + dv, 1e308}) {
+    const ReplanRequest replan{3, 2000.0, bad, 600.0};
+    const std::vector<ReplanRequest> replans{{4, 1000.0, 10.0, 600.0}, replan};
+    EXPECT_THROW((void)service.request_replan(replan), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_replan_ticket(replan), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_replans(replans), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.request_replan_tickets(replans), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.slot_for_replan(Meters(2000.0), MetersPerSecond(bad),
+                                               Seconds(600.0)),
+                 std::invalid_argument)
+        << bad;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 0);
+  EXPECT_EQ(stats.replans, 0);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.coalesced_hits, 0);
+  EXPECT_EQ(stats.solver_runs, 0);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.expirations, 0);
+  EXPECT_EQ(stats.rejections, 0);
+  EXPECT_EQ(stats.queue_depth, 0);
+
+  for (const double ok : {0.0, top, top + 0.49 * dv}) {
+    EXPECT_NO_THROW((void)service.slot_for_replan(Meters(2000.0), MetersPerSecond(ok),
+                                                  Seconds(600.0)))
+        << ok;
+  }
+  EXPECT_FALSE(service.request_replan({5, 2000.0, top + 0.49 * dv, 600.0}).cache_hit);
+  EXPECT_EQ(service.stats().solver_runs, 1);
 }
 
 /// A provider that answers every query with one fixed (possibly bad) rate.

@@ -2,6 +2,8 @@
 // support, VelocityPlanner::replan, and the closed-loop adaptive pilot.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include <limits>
 #include <memory>
 
@@ -138,6 +140,26 @@ TEST(Replan, RejectsPositionOutsideCorridor) {
   const core::VelocityPlanner planner = make_planner(core::SignalPolicy::kIgnoreSignals);
   EXPECT_THROW(planner.replan(Meters(-5.0), MetersPerSecond(0.0), Seconds(0.0)), std::invalid_argument);
   EXPECT_THROW(planner.replan(Meters(4200.0), MetersPerSecond(0.0), Seconds(0.0)), std::invalid_argument);
+}
+
+TEST(Replan, RejectsSpeedsOffTheVelocityGrid) {
+  // A negative speed, or one rounding past the top velocity level, used to
+  // be clamped onto the grid silently; both are an invalid_argument now.
+  const core::VelocityPlanner planner = make_planner(core::SignalPolicy::kIgnoreSignals);
+  const double dv = planner.config().resolution.dv_ms;
+  const double top = std::floor(planner.corridor().route.max_speed_limit() / dv);
+  for (const double bad : {-0.1, -1e-300, (top + 0.5) * dv, (top + 3.0) * dv, 1e308}) {
+    EXPECT_THROW((void)planner.speed_level(MetersPerSecond(bad)), std::invalid_argument) << bad;
+    EXPECT_THROW((void)planner.replan(Meters(4100.0), MetersPerSecond(bad), Seconds(900.0)),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(planner.speed_level(MetersPerSecond(0.0)), 0);
+  EXPECT_EQ(planner.speed_level(MetersPerSecond(-0.0)), 0);
+  EXPECT_EQ(planner.speed_level(MetersPerSecond((top + 0.49) * dv)), static_cast<long>(top));
+  const core::PlannedProfile rest =
+      planner.replan(Meters(2000.0), MetersPerSecond((top + 0.49) * dv), Seconds(900.0));
+  EXPECT_DOUBLE_EQ(rest.nodes().back().speed_ms, 0.0);
 }
 
 TEST(Replan, RejectsNonFiniteState) {

@@ -10,7 +10,7 @@
 //   evvo_fuzz --seed 41                 # re-run exactly one scenario
 //   evvo_fuzz --inject window-shift     # prove the harness catches a fault
 //   evvo_fuzz --replay-spec bad.spec    # re-check a shrunk spec file
-//   evvo_fuzz --simd-only --count 100   # cheap vector-vs-scalar identity sweep
+//   evvo_fuzz --simd-only --count 100   # cheap every-kernel identity sweep
 //   evvo_fuzz --batch --count 100       # batched-vs-standalone solve identity
 #include <atomic>
 #include <cstdint>
@@ -27,6 +27,7 @@
 #include "check/shrink.hpp"
 #include "common/clock.hpp"
 #include "common/thread_pool.hpp"
+#include "core/dp_solver.hpp"
 
 namespace {
 
@@ -38,7 +39,7 @@ struct Options {
   bool shrink = true;
   bool replay = true;
   bool reference = true;
-  bool simd_only = false;  ///< strip everything but the simd-vs-scalar oracle
+  bool simd_only = false;  ///< strip everything but the kernel-identity oracle
   bool batch = false;      ///< run batched-vs-standalone solve identity instead
   std::string inject = "none";
   std::string replay_spec;  // path: check this spec instead of generating
@@ -163,8 +164,9 @@ int main(int argc, char** argv) {
   check.run_replay = opt.replay;
   check.run_reference = opt.reference;
   if (opt.simd_only) {
-    // Vector-vs-scalar identity sweep: skip the expensive oracles and the
-    // threaded solves so many scenarios fit in a CI timeslot. The pruned,
+    // Kernel-identity sweep (scalar scan vs every vector kernel the build
+    // and CPU offer): skip the expensive oracles and the threaded solves so
+    // many scenarios fit in a CI timeslot. The pruned,
     // feasibility, compliance, and energy invariants still run - they are
     // byproducts of the solves the identity check needs anyway.
     check.run_reference = false;
@@ -253,5 +255,11 @@ int main(int argc, char** argv) {
   const double elapsed_s = evvo::common::seconds_between_ns(t_begin, evvo::common::now_ns());
   std::printf("%zu scenario(s) checked in %.1f s (%zu infeasible), %zu violation(s)\n", opt.count,
               elapsed_s, infeasible.load(), failures.load());
+  if (check.run_simd_identity) {
+    std::string kernels;
+    for (const evvo::core::detail::DpKernelInfo& k : evvo::core::detail::dp_kernels())
+      kernels += std::string(kernels.empty() ? "" : ", ") + k.name;
+    std::printf("relaxation kernels compared: %s\n", kernels.c_str());
+  }
   return failures.load() == 0 ? 0 : 1;
 }
