@@ -34,7 +34,8 @@ int main() {
                    "final SoC [%]"});
   for (int vehicle = 0; vehicle < 6; ++vehicle) {
     const double depart = 600.0 + vehicle * 120.0;  // all phase-congruent (120 = 2H)
-    const cloud::PlanResponse response = service.request_plan({vehicle, depart});
+    const cloud::PlanRequest request{vehicle, depart};
+    const cloud::PlanTicket ticket = service.request_plan_tickets({&request, 1}).front();
 
     // Each vehicle drives its plan with the adaptive pilot in its own traffic.
     sim::MicrosimConfig run_cfg = sim_config;
@@ -50,7 +51,7 @@ int main() {
     const ev::SocTrace soc = ev::run_battery(energy, pack, result.cycle,
                                              [&](double s) { return corridor.route.grade_at(s); });
     fleet.add_row({std::to_string(vehicle), format_double(depart, 0),
-                   response.cache_hit ? "hit" : "miss", format_double(eval.energy.charge_mah, 1),
+                   ticket.cache_hit ? "hit" : "miss", format_double(eval.energy.charge_mah, 1),
                    format_double(result.trip_time(), 1), std::to_string(result.replans),
                    format_double(soc.final_soc() * 100.0, 2)});
   }

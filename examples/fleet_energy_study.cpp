@@ -64,8 +64,8 @@ int main() {
     requests.push_back({hour, hour * 3600.0 + 600.0});
   }
   std::cout << "planning " << requests.size() << " departures per policy via the cloud service\n";
-  const std::vector<cloud::PlanResponse> ours_plans = ours_service.request_plans(requests);
-  const std::vector<cloud::PlanResponse> base_plans = base_service.request_plans(requests);
+  const std::vector<cloud::PlanTicket> ours_plans = ours_service.request_plan_tickets(requests);
+  const std::vector<cloud::PlanTicket> base_plans = base_service.request_plan_tickets(requests);
 
   TextTable table({"depart", "demand [veh/h]", "ours [mAh]", "baseline [mAh]", "saving [%]"});
   std::vector<double> savings;
@@ -94,8 +94,8 @@ int main() {
                  : -1.0;
     };
 
-    const double ours = run(ours_plans[i].profile);
-    const double base = run(base_plans[i].profile);
+    const double ours = run(ours_plans[i].materialize());
+    const double base = run(base_plans[i].materialize());
     if (ours < 0.0 || base < 0.0) {
       table.add_row({std::to_string(hour) + ":00", format_double(actual_veh_h, 0), "timeout",
                      "timeout", "-"});

@@ -1,14 +1,17 @@
 #include "cloud/plan_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <memory_resource>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 
 namespace evvo::cloud {
 
@@ -119,9 +122,9 @@ PlanService::CacheKey PlanService::key_for(Seconds depart_time) const {
 PlanService::CacheKey PlanService::replan_key_for(const ReplanRequest& request) const {
   // Written so that NaN fails the range check instead of passing it.
   if (!(request.position_m >= 0.0 && request.position_m < planner_.corridor().length()))
-    throw std::invalid_argument("PlanService::request_replan: position outside the corridor");
+    throw std::invalid_argument("PlanService: replan position outside the corridor");
   if (!std::isfinite(request.speed_ms))
-    throw std::invalid_argument("PlanService::request_replan: speed must be finite");
+    throw std::invalid_argument("PlanService: replan speed must be finite");
   // A speed off the velocity grid (negative, or rounding past the top
   // level) is rejected here, before any counter, instead of becoming a
   // level the solve would silently clamp.
@@ -284,219 +287,172 @@ PlanTicket PlanService::wait_follower(ServeState& state, int vehicle_id, Seconds
   return std::move(*ticket);
 }
 
-PlanTicket PlanService::serve_ticket(const CacheKey& key, int vehicle_id, Seconds request_time,
-                                     const std::function<core::PlannedProfile()>& solve) {
-  const telemetry::TraceSpan ticket_span(*ticket_latency_ns_, "plan_service.ticket");
-  ServeState state = begin_serve(key, vehicle_id, request_time);
-  if (state.hit.has_value()) return std::move(*state.hit);
-
-  if (state.leader) {
-    try {
-      auto profile = std::make_shared<const core::PlannedProfile>(solve());
-      return publish_leader_result(key, state, vehicle_id, request_time, std::move(profile));
-    } catch (...) {
-      publish_leader_error(key, state, std::current_exception());
-      throw;
-    }
-  }
-
-  // Follower: coalesce onto the leader's solve.
-  return wait_follower(state, vehicle_id, request_time);
-}
-
-core::PlannedProfile PlanService::solve_miss(const BatchItem& item) {
-  if (!item.replan) return planner_.plan(Seconds(item.time_s), arrivals_);
+core::PlannedProfile PlanService::solve_miss(const CacheKey& key, Seconds time) {
+  if (key.layer < 0) return planner_.plan(time, arrivals_);
   // The miss solves the bin's canonical grid state, not the raw request
   // state, so every member of the bin is served a consistent tail.
   const double dv = planner_.config().resolution.dv_ms;
-  return planner_.replan(Meters(static_cast<double>(item.key.layer) * grid_ds_m_),
-                         MetersPerSecond(static_cast<double>(item.key.vlevel) * dv),
-                         Seconds(item.time_s), arrivals_);
+  return planner_.replan(Meters(static_cast<double>(key.layer) * grid_ds_m_),
+                         MetersPerSecond(static_cast<double>(key.vlevel) * dv),
+                         time, arrivals_);
 }
 
-PlanTicket PlanService::serve_item(const BatchItem& item) {
-  return serve_ticket(item.key, item.vehicle_id, Seconds(item.time_s),
-                      [&] { return solve_miss(item); });
-}
+template <class Request>
+std::vector<PlanTicket> PlanService::serve_batch(std::span<const Request> requests) {
+  const telemetry::Stopwatch since_entry;
+  constexpr bool kReplan = std::is_same_v<Request, ReplanRequest>;
+  const auto key_of = [this](const Request& r) {
+    if constexpr (kReplan) {
+      return replan_key_for(r);
+    } else {
+      return key_for(Seconds(r.depart_time_s));
+    }
+  };
+  const auto time_of = [](const Request& r) {
+    if constexpr (kReplan) {
+      return Seconds(r.time_s);
+    } else {
+      return Seconds(r.depart_time_s);
+    }
+  };
+  // Per-call scratch: a dispatch-sized call groups without touching the
+  // heap (a larger one spills into it), which keeps a one-request call
+  // close to a bare lookup. Left uninitialized: the arena writes before it
+  // reads.
+  std::array<std::byte, 2048> scratch;
+  std::pmr::monotonic_buffer_resource arena(scratch.data(), scratch.size());
 
-std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& items) {
-  // Group same-key requests (first-occurrence order, so dispatch is
-  // deterministic): each group takes one cache transaction, the group's
-  // first member runs the single-flight path, every other member reuses its
-  // reference profile with a per-request time shift.
-  std::map<CacheKey, std::size_t> group_of;
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto [it, inserted] = group_of.emplace(items[i].key, groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
+  // Quantize and group in one pass (first-occurrence order, so dispatch is
+  // deterministic). Nothing is counted yet, so an invalid request rejects
+  // the whole call uncounted. Each group takes one cache transaction: its
+  // first member (the lead) runs the single-flight path, every other member
+  // reuses its reference profile with a per-request time shift. Finding a
+  // request's group scans the groups so far: a call is one dispatch window
+  // (a fleet tick holds tens of distinct keys), where a scan beats a tree.
+  struct Group {
+    CacheKey key;
+    std::size_t lead = 0;
+    long size = 0;
+  };
+  std::pmr::vector<Group> groups(&arena);
+  std::pmr::vector<std::size_t> group_of(&arena);
+  groups.reserve(requests.size());
+  group_of.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const CacheKey key = key_of(requests[i]);
+    std::size_t g = 0;
+    while (g < groups.size() && !(groups[g].key == key)) ++g;
+    if (g == groups.size()) groups.push_back(Group{key, i, 0});
+    ++groups[g].size;
+    group_of.push_back(g);
   }
 
+  std::vector<PlanTicket> out(requests.size());
+  std::exception_ptr first_error;
+  const auto fail = [&first_error] {
+    if (!first_error) first_error = std::current_exception();
+  };
+  const auto lead_served = [&](const Group& group, PlanTicket&& ticket) {
+    out[group.lead] = std::move(ticket);
+    since_entry.record(*ticket_latency_ns_);
+  };
+
   // Phase A - admission: every group's lead goes through the cache/TTL/
-  // single-flight/admission-control step first, so the whole batch's misses
-  // are known before any solving starts. A shed lead (ServiceOverload) fails
-  // only its own group; the rest of the batch is still served and the first
-  // error is rethrown at the end.
-  std::vector<PlanTicket> out(items.size());
-  std::vector<std::optional<PlanTicket>> lead_ticket(groups.size());
-  struct PendingGroup {
-    std::size_t group = 0;
+  // single-flight/admission-control step first, so the call's misses are
+  // known before any solving starts. Hits are served here; elected leaders
+  // and followers of other calls' flights wait in `pending`. A shed lead
+  // (ServiceOverload) fails only its own group; the rest of the call is
+  // still served and the first error is rethrown at the end.
+  struct Pending {
+    const Group* group;
     ServeState state;
   };
-  std::vector<PendingGroup> leaders;
-  std::vector<PendingGroup> followers;
-  std::exception_ptr first_error;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    batch_group_size_->record(static_cast<long>(groups[g].size()));
-    const BatchItem& lead = items[groups[g].front()];
+  std::pmr::vector<Pending> pending(&arena);
+  std::size_t leaders = 0;
+  for (const Group& group : groups) {
+    batch_group_size_->record(group.size);
+    const Request& lead = requests[group.lead];
     try {
-      const telemetry::TraceSpan ticket_span(*ticket_latency_ns_, "plan_service.ticket");
-      ServeState state = begin_serve(lead.key, lead.vehicle_id, Seconds(lead.time_s));
+      ServeState state = begin_serve(group.key, lead.vehicle_id, time_of(lead));
       if (state.hit.has_value()) {
-        lead_ticket[g] = std::move(*state.hit);
-      } else if (state.leader) {
-        leaders.push_back(PendingGroup{g, std::move(state)});
+        lead_served(group, std::move(*state.hit));
       } else {
-        followers.push_back(PendingGroup{g, std::move(state)});
+        if (state.leader) ++leaders;
+        pending.push_back(Pending{&group, std::move(state)});
       }
     } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+      fail();
     }
   }
 
   // Phase B - leader solves, one at a time through solve_miss: the pooled
   // single-solve path. Each result is published the moment its solve
   // finishes, so its followers (in phase C here, or in concurrent calls)
-  // stop waiting then, not when the last leader is done. Every
-  // elected leader reaches an epilogue - publish or error - so followers can
-  // never hang, and a failed solve fails only its own group.
-  const auto solve_leader = [&](PendingGroup& pending) {
-    const BatchItem& lead = items[groups[pending.group].front()];
-    try {
-      auto profile = std::make_shared<const core::PlannedProfile>(solve_miss(lead));
-      lead_ticket[pending.group] = publish_leader_result(lead.key, pending.state,
-                                                         lead.vehicle_id, Seconds(lead.time_s),
-                                                         std::move(profile));
-    } catch (...) {
-      publish_leader_error(lead.key, pending.state, std::current_exception());
-      if (!first_error) first_error = std::current_exception();
+  // stop waiting then, not when the last leader is done. Every elected
+  // leader reaches an epilogue - publish or error - so followers can never
+  // hang, and a failed solve fails only its own group.
+  const auto solve_leaders = [&] {
+    for (Pending& p : pending) {
+      if (!p.state.leader) continue;
+      const Group& group = *p.group;
+      const Request& lead = requests[group.lead];
+      try {
+        auto profile =
+            std::make_shared<const core::PlannedProfile>(solve_miss(group.key, time_of(lead)));
+        lead_served(group, publish_leader_result(group.key, p.state, lead.vehicle_id,
+                                                 time_of(lead), std::move(profile)));
+      } catch (...) {
+        publish_leader_error(group.key, p.state, std::current_exception());
+        fail();
+      }
     }
   };
-  if (leaders.size() >= 2) {
+  if (leaders >= 2) {
     const telemetry::TraceSpan solve_span(*batch_solve_ns_, "plan_service.batch_solve");
-    for (PendingGroup& pending : leaders) solve_leader(pending);
-  } else if (leaders.size() == 1) {
-    const telemetry::TraceSpan ticket_span(*ticket_latency_ns_, "plan_service.ticket");
-    solve_leader(leaders.front());
+    solve_leaders();
+  } else if (leaders == 1) {
+    solve_leaders();
   }
 
-  // Phase C - followers: their leaders run in concurrent serve calls (our
+  // Phase C - followers: their leaders run in concurrent calls (this call's
   // own leaders already completed in phase B, so waiting here cannot
   // deadlock). A leader's failure fails just this group.
-  for (PendingGroup& pending : followers) {
-    const BatchItem& lead = items[groups[pending.group].front()];
+  for (Pending& p : pending) {
+    if (p.state.leader) continue;
+    const Request& lead = requests[p.group->lead];
     try {
-      lead_ticket[pending.group] = wait_follower(pending.state, lead.vehicle_id, Seconds(lead.time_s));
+      lead_served(*p.group, wait_follower(p.state, lead.vehicle_id, time_of(lead)));
     } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+      fail();
     }
   }
 
   // Phase D - fan out: members derive their tickets from the group lead's.
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (!lead_ticket[g].has_value()) continue;
-    const std::vector<std::size_t>& members = groups[g];
-    const BatchItem& lead = items[members.front()];
-    const PlanTicket& ticket = *lead_ticket[g];
-    out[members.front()] = ticket;
-    Shard& shard = shard_for(lead.key);
-    for (std::size_t m = 1; m < members.size(); ++m) {
-      const BatchItem& item = items[members[m]];
-      if (item.replan) shard.replans->add(1);
+  if (groups.size() < requests.size()) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const Group& group = groups[group_of[i]];
+      const PlanTicket& lead_ticket = out[group.lead];
+      if (i == group.lead || !lead_ticket.reference) continue;
+      Shard& shard = shard_for(group.key);
+      if constexpr (kReplan) shard.replans->add(1);
       shard.cache_hits->add(1);
       shard.coalesced_hits->add(1);
-      out[members[m]] =
-          PlanTicket{item.vehicle_id, ticket.reference,
-                     ticket.time_shift_s + (item.time_s - lead.time_s), true};
+      const double shift = (time_of(requests[i]) - time_of(requests[group.lead])).value();
+      out[i] = PlanTicket{requests[i].vehicle_id, lead_ticket.reference,
+                          lead_ticket.time_shift_s + shift, true};
     }
   }
   if (first_error) std::rethrow_exception(first_error);
   return out;
 }
 
-PlanTicket PlanService::request_plan_ticket(const PlanRequest& request) {
-  return serve_item(BatchItem{key_for(Seconds(request.depart_time_s)), request.vehicle_id,
-                              request.depart_time_s, false});
-}
-
-PlanTicket PlanService::request_replan_ticket(const ReplanRequest& request) {
-  return serve_item(
-      BatchItem{replan_key_for(request), request.vehicle_id, request.time_s, true});
-}
-
 std::vector<PlanTicket> PlanService::request_plan_tickets(std::span<const PlanRequest> requests) {
-  std::vector<BatchItem> items;
-  items.reserve(requests.size());
-  for (const PlanRequest& request : requests) {
-    items.push_back(BatchItem{key_for(Seconds(request.depart_time_s)), request.vehicle_id,
-                              request.depart_time_s, false});
-  }
-  return serve_batch(items);
+  return serve_batch(requests);
 }
 
 std::vector<PlanTicket> PlanService::request_replan_tickets(
     std::span<const ReplanRequest> requests) {
-  std::vector<BatchItem> items;
-  items.reserve(requests.size());
-  for (const ReplanRequest& request : requests) {
-    items.push_back(
-        BatchItem{replan_key_for(request), request.vehicle_id, request.time_s, true});
-  }
-  return serve_batch(items);
-}
-
-PlanResponse PlanService::request_plan(const PlanRequest& request) {
-  const PlanTicket ticket = request_plan_ticket(request);
-  return PlanResponse{ticket.vehicle_id, ticket.materialize(), ticket.cache_hit};
-}
-
-PlanResponse PlanService::request_replan(const ReplanRequest& request) {
-  const PlanTicket ticket = request_replan_ticket(request);
-  return PlanResponse{ticket.vehicle_id, ticket.materialize(), ticket.cache_hit};
-}
-
-std::vector<PlanResponse> PlanService::materialize_all(std::vector<PlanTicket> tickets) {
-  std::vector<std::optional<PlanResponse>> slots(tickets.size());
-  const auto materialize = [&](std::size_t i) {
-    slots[i] =
-        PlanResponse{tickets[i].vehicle_id, tickets[i].materialize(), tickets[i].cache_hit};
-  };
-  common::ThreadPool* pool = batch_pool();
-  if (pool && tickets.size() > 1) {
-    pool->parallel_for(tickets.size(), materialize);
-  } else {
-    for (std::size_t i = 0; i < tickets.size(); ++i) materialize(i);
-  }
-  std::vector<PlanResponse> responses;
-  responses.reserve(slots.size());
-  for (auto& slot : slots) responses.push_back(std::move(*slot));
-  return responses;
-}
-
-std::vector<PlanResponse> PlanService::request_plans(std::span<const PlanRequest> requests) {
-  return materialize_all(request_plan_tickets(requests));
-}
-
-std::vector<PlanResponse> PlanService::request_replans(std::span<const ReplanRequest> requests) {
-  return materialize_all(request_replan_tickets(requests));
-}
-
-common::ThreadPool* PlanService::batch_pool() {
-  const unsigned want = common::ThreadPool::resolve_threads(cache_config_.batch_threads);
-  if (want <= 1) return nullptr;
-  common::MutexLock lock(pool_mutex_);
-  if (!batch_pool_) batch_pool_ = std::make_unique<common::ThreadPool>(want);
-  return batch_pool_.get();
+  return serve_batch(requests);
 }
 
 ServiceStats PlanService::stats() const {

@@ -43,14 +43,13 @@
 // is visible on the queue_depth gauge instead).
 //
 // Serving is zero-copy: the cache stores immutable reference profiles behind
-// shared_ptr, and the ticket APIs return {reference, time shift} without
-// copying a node vector under any lock. The PlanResponse APIs materialize
-// the shifted profile outside the locks; high-throughput callers (the batch
-// fleet path, tools/evvo_load) keep the ticket and materialize lazily or
-// never.
+// shared_ptr, and both entry points return tickets, {reference, time shift},
+// without copying a node vector under any lock. There is one entry point per
+// request kind, each taking a span: a single request is a span of one, and a
+// caller that needs the nodes runs PlanTicket::materialize() itself, outside
+// every service lock.
 #pragma once
 
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -66,17 +65,15 @@
 #include "common/thread_annotations.hpp"
 #include "core/planner.hpp"
 
-namespace evvo::common {
-class ThreadPool;
-}
-
 namespace evvo::cloud {
 
 struct CacheConfig {
   std::size_t capacity = 256;        ///< cached plans per shard (LRU eviction)
   double phase_quantum_s = 1.0;      ///< departure-phase bin width
   double demand_quantum_veh_h = 50.0;///< arrival-rate bin width
-  /// Worker threads for request_plans() batches; 0 = hardware_concurrency.
+  /// Unused: no code reads it. Declared only because the fleet benchmark's
+  /// scenario setup still assigns it; it goes with that benchmark's next
+  /// change.
   unsigned batch_threads = 0;
   /// Cache shards (independent mutex + LRU + in-flight table each). 1 keeps
   /// the original single-mutex layout; fleet serving uses 8+.
@@ -105,16 +102,10 @@ struct ReplanRequest {
   double time_s = 0.0;      ///< absolute time of the request
 };
 
-struct [[nodiscard]] PlanResponse {
-  int vehicle_id = 0;
-  core::PlannedProfile profile;
-  bool cache_hit = false;
-};
-
 /// Zero-copy serving handle: the immutable cached reference profile plus the
-/// time shift that maps it onto this request. materialize() performs the
-/// node-vector copy the PlanResponse APIs would have done; callers that only
-/// need a few nodes (or none) never pay it.
+/// time shift that maps it onto this request. materialize() copies the
+/// shifted node vector out; callers that only need a few nodes (or none)
+/// never pay it.
 struct [[nodiscard]] PlanTicket {
   int vehicle_id = 0;
   std::shared_ptr<const core::PlannedProfile> reference;
@@ -165,39 +156,26 @@ class PlanService {
               CacheConfig cache = {});
   ~PlanService();
 
-  /// Computes or serves a plan. Thread-safe; see the single-flight notes in
-  /// the header comment. Throws std::invalid_argument for a non-finite
-  /// departure time, or when the arrival-rate provider answers with a NaN,
-  /// infinite or negative rate, before any lookup or counter (the batch
-  /// entry points likewise reject the whole batch uncounted).
-  PlanResponse request_plan(const PlanRequest& request);
-
-  /// Serves a whole batch, fanning same-shard groups across the service's
-  /// worker pool (CacheConfig::batch_threads). Responses are returned in
-  /// request order. Same-key requests within the batch coalesce onto one
-  /// cache lookup (and, on a miss, one solve).
-  std::vector<PlanResponse> request_plans(std::span<const PlanRequest> requests);
-
-  /// Computes or serves a replan for a mid-route vehicle state. The returned
-  /// profile starts at the state's grid point in corridor coordinates.
-  /// Throws std::invalid_argument for positions outside the corridor and for
-  /// a non-finite position, speed or time, and for a bad provider rate as
-  /// request_plan does, before any lookup. Same
-  /// single-flight and caching behavior as request_plan, over the segment
-  /// memo keyed by quantized (position layer, velocity level, cycle offset,
-  /// demand) - see the header comment.
-  PlanResponse request_replan(const ReplanRequest& request);
-
-  /// Batch replanning, the per-tick fleet path: responses in request order,
-  /// same-state vehicles coalesce onto one solve.
-  std::vector<PlanResponse> request_replans(std::span<const ReplanRequest> requests);
-
-  /// Zero-copy variants: same caching, single-flight, and statistics as the
-  /// PlanResponse APIs, but the returned tickets share the cached reference
-  /// profile instead of copying it. The fleet serving path.
-  PlanTicket request_plan_ticket(const PlanRequest& request);
-  PlanTicket request_replan_ticket(const ReplanRequest& request);
+  /// Serves a span of departure-time requests: tickets come back in request
+  /// order. Same-key requests in the span coalesce onto one cache lookup
+  /// (and, on a miss, one solve); a key another call is already solving is
+  /// waited for instead of solved again. Thread-safe; see the single-flight
+  /// notes in the header comment.
+  ///
+  /// Throws std::invalid_argument, before any lookup or counter, when a
+  /// request has a non-finite departure time or the arrival-rate provider
+  /// answers with a NaN, infinite or negative rate: one bad request rejects
+  /// the whole span. Throws ServiceOverload (or a solve's error) after
+  /// serving every group it could; the first such error is rethrown.
   std::vector<PlanTicket> request_plan_tickets(std::span<const PlanRequest> requests);
+
+  /// Serves a span of mid-route replans, the rolling-horizon path: the
+  /// segment memo is keyed by quantized (position layer, velocity level,
+  /// cycle offset, demand), see the header comment, and each ticket's
+  /// profile starts at its state's grid point in corridor coordinates. Same
+  /// ordering, coalescing and errors as request_plan_tickets, and
+  /// std::invalid_argument also for a position outside the corridor and for
+  /// a non-finite or off-grid speed.
   std::vector<PlanTicket> request_replan_tickets(std::span<const ReplanRequest> requests);
 
   /// Where a departure-time request routes. Pure function of the request and
@@ -226,10 +204,9 @@ class PlanService {
   /// Per-shard counters, indexed by shard. Fieldwise, their sum is stats().
   std::vector<ServiceStats> shard_stats() const;
 
-  /// Group sizes recorded by the batch dispatch path: one sample per
-  /// same-key group per request_*_tickets call (hit groups included).
-  /// Workload harnesses report its percentiles; empty until the first batch
-  /// call on this instance.
+  /// Same-key group sizes: one sample per group per request_*_tickets call
+  /// (hit groups included). Workload harnesses report its percentiles;
+  /// empty until the first call on this instance.
   const telemetry::Histogram& batch_group_sizes() const { return *batch_group_size_; }
 
  private:
@@ -302,11 +279,9 @@ class PlanService {
     bool leader = false;
     std::optional<PlanTicket> hit;
   };
-  /// The lookup/registration half of serve_ticket: cache probe (with TTL),
-  /// flight join, admission control (throws ServiceOverload), or leader
-  /// election (counts solver_runs/queue_depth at takeoff). Factored out so
-  /// the batch path can admit a whole batch first and solve its leaders as
-  /// one batched run.
+  /// The lookup/registration step: cache probe (with TTL), flight join,
+  /// admission control (throws ServiceOverload), or leader election (counts
+  /// solver_runs/queue_depth at takeoff).
   ServeState begin_serve(const CacheKey& key, int vehicle_id, Seconds request_time);
   /// Leader epilogue: publishes `profile` to the cache, retires the flight,
   /// wakes followers, and returns the leader's ticket.
@@ -320,38 +295,26 @@ class PlanService {
   /// Follower epilogue: waits out the leader's flight and derives a ticket
   /// (rethrows the leader's error).
   PlanTicket wait_follower(ServeState& state, int vehicle_id, Seconds request_time);
-  /// Cache lookup + single-flight around an arbitrary solve (full plan or
-  /// replan). `request_time` anchors the time shift cached hits are served
-  /// with; `solve` runs outside every service lock on the leader.
-  PlanTicket serve_ticket(const CacheKey& key, int vehicle_id, Seconds request_time,
-                          const std::function<core::PlannedProfile()>& solve);
   void insert_into_cache_locked(Shard& shard, const CacheKey& key,
                                 std::shared_ptr<const core::PlannedProfile> profile,
                                 double reference_time) EVVO_REQUIRES(shard.shard_mutex);
-  /// A request after quantization: its cache key plus what is needed to
-  /// serve it (the solve closure is derived from `key`/`time_s`/`replan`).
-  struct BatchItem {
-    CacheKey key;
-    int vehicle_id = 0;
-    double time_s = 0.0;
-    bool replan = false;
-  };
-  PlanTicket serve_item(const BatchItem& item);
-  /// The solve a miss of `item` runs (full plan or canonical-grid replan).
-  core::PlannedProfile solve_miss(const BatchItem& item);
-  /// Cross-request batch dispatch: groups same-key items, admits each
-  /// group's first member through the single-flight path, then solves the
-  /// admitted leaders one at a time through solve_miss (the pooled
-  /// single-solve path), publishing each result as soon as its solve
-  /// finishes, and derives every other member's ticket from its group
-  /// leader's (one cache transaction per group). Leaders are not
-  /// packed into one SoA sweep (core/dp_batch.hpp): replayed on the fleet
-  /// benchmark, that sweep was only 1.10x faster than pooled single solves
-  /// on miss_storm and 0.83x on rolling_horizon, short of the 1.3x it needed,
-  /// and single solves can publish early.
-  std::vector<PlanTicket> serve_batch(const std::vector<BatchItem>& items);
-  std::vector<PlanResponse> materialize_all(std::vector<PlanTicket> tickets);
-  common::ThreadPool* batch_pool();
+  /// The solve a miss of `key` at `time` runs: a full plan, or (layer >= 0)
+  /// a replan from the bin's canonical grid state.
+  core::PlannedProfile solve_miss(const CacheKey& key, Seconds time);
+  /// The one serving driver behind both entry points. Quantizes every
+  /// request (one invalid request rejects the call uncounted), groups
+  /// same-key requests in first-occurrence order, admits each group's first
+  /// member through begin_serve, solves the admitted leaders one at a time
+  /// through solve_miss (the pooled single-solve path), publishing each
+  /// result as soon as its solve finishes, then waits out followers and
+  /// derives every other member's ticket from its group lead's (one cache
+  /// transaction per group). Leaders are not packed into one SoA sweep
+  /// (core/dp_batch.hpp): replayed on the fleet benchmark, that sweep was
+  /// only 1.10x faster than pooled single solves on miss_storm and 0.83x on
+  /// rolling_horizon, short of the 1.3x it needed, and single solves can
+  /// publish early.
+  template <class Request>
+  std::vector<PlanTicket> serve_batch(std::span<const Request> requests);
 
   core::VelocityPlanner planner_;
   std::shared_ptr<const traffic::ArrivalRateProvider> arrivals_;
@@ -364,17 +327,16 @@ class PlanService {
   /// itself is immutable after construction.
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Service-level telemetry, registered alongside the shard counters:
-  /// end-to-end serve_ticket latency (including the leader's solve) and the
-  /// same-key group sizes the batch path coalesces.
+  /// Service-level telemetry, registered alongside the shard counters. One
+  /// ticket_ns sample per served group: from call entry until the group's
+  /// lead ticket exists (a hit's lookup, a leader's solve and publish, or a
+  /// follower's wait). Groups that fail record none.
   telemetry::Histogram* ticket_latency_ns_ = nullptr;
+  /// Same-key group sizes, one sample per group per call.
   telemetry::Histogram* batch_group_size_ = nullptr;
   /// Duration of serve_batch's leader solves when it elects two or more
   /// (covers the whole loop of single solves and their publishes).
   telemetry::Histogram* batch_solve_ns_ = nullptr;
-
-  mutable common::Mutex pool_mutex_{common::LockRank::kServiceBatchPool};
-  std::unique_ptr<common::ThreadPool> batch_pool_ EVVO_GUARDED_BY(pool_mutex_);
 };
 
 /// lcm of the signal cycle durations [s] (integer deciseconds internally);

@@ -38,9 +38,6 @@ enum class LockRank : int {
   /// for one single-flight solve.
   kPlanFlight = 20,
 
-  /// cloud::PlanService::pool_mutex_ — lazy construction of the batch pool.
-  kServiceBatchPool = 30,
-
   /// core::WorkspacePool::free_mutex_ — solver-context checkout.
   kWorkspacePool = 40,
 
@@ -71,7 +68,6 @@ constexpr const char* lock_rank_name(LockRank rank) {
     case LockRank::kUnranked: return "kUnranked";
     case LockRank::kPlanShard: return "kPlanShard";
     case LockRank::kPlanFlight: return "kPlanFlight";
-    case LockRank::kServiceBatchPool: return "kServiceBatchPool";
     case LockRank::kWorkspacePool: return "kWorkspacePool";
     case LockRank::kPlannerRuntime: return "kPlannerRuntime";
     case LockRank::kThreadPoolQueue: return "kThreadPoolQueue";

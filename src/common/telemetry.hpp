@@ -24,8 +24,8 @@
 //     the returned reference (valid for the process lifetime), so steady
 //     state never touches the registry map.
 //
-// What EVVO_TELEMETRY=OFF removes: every TraceSpan (and with it every
-// clock read) and the trace ring. Counters, gauges, and the Histogram class
+// What EVVO_TELEMETRY=OFF removes: every TraceSpan and Stopwatch (and with
+// them every clock read) and the trace ring. Counters, gauges, and the Histogram class
 // itself stay live in OFF builds because they double as service statistics —
 // cloud::PlanService's stats() identity is behavior, not optional telemetry —
 // and their cost is a relaxed add. The expensive part of observability is
@@ -283,6 +283,19 @@ class TraceSpan {
   int depth_;
 };
 
+/// One start, many ends: stamps the clock on construction, and each
+/// record() stores the ns elapsed since then into `hist`. For latencies that
+/// share an origin but end at different points (every group a call serves,
+/// timed from call entry); unlike TraceSpan it writes no trace event.
+class Stopwatch {
+ public:
+  Stopwatch() noexcept : start_(common::now_ns()) {}
+  void record(Histogram& hist) const { hist.record(common::now_ns() - start_); }
+
+ private:
+  std::uint64_t start_;
+};
+
 /// Sizes (n > 0) or disables (n == 0) the global trace ring. Not
 /// thread-safe against concurrent spans: call while quiescent (startup,
 /// test fixtures). The ring keeps the most recent `n` completed spans.
@@ -300,6 +313,12 @@ class TraceSpan {
   TraceSpan(Histogram&, const char*) noexcept {}
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
+};
+
+/// No-op stopwatch: no clock read, no record.
+class Stopwatch {
+ public:
+  void record(Histogram&) const {}
 };
 
 inline void set_trace_capacity(std::size_t) {}

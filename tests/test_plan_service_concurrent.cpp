@@ -25,6 +25,15 @@ std::shared_ptr<traffic::ConstantArrivalRate> demand(double veh_h) {
   return std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(veh_h));
 }
 
+/// A single request is a span of one.
+PlanTicket plan_one(PlanService& service, const PlanRequest& request) {
+  return std::move(service.request_plan_tickets({&request, 1}).front());
+}
+
+PlanTicket replan_one(PlanService& service, const ReplanRequest& request) {
+  return std::move(service.request_replan_tickets({&request, 1}).front());
+}
+
 /// A small corridor so each solve is fast enough to hammer from many
 /// threads; one light gives a 60 s hyperperiod, so distinct phase bins are
 /// easy to construct.
@@ -58,10 +67,9 @@ TEST(PlanServiceConcurrent, SameKeyMissesCoalesceOntoOneSolve) {
   constexpr int kThreads = 8;
   // All congruent mod the 60 s hyperperiod: one cache key.
   std::vector<std::thread> threads;
-  std::vector<std::optional<PlanResponse>> responses(kThreads);
+  std::vector<std::optional<PlanTicket>> tickets(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(
-        [&, t] { responses[t] = service.request_plan({t, 30.0 + 60.0 * t}); });
+    threads.emplace_back([&, t] { tickets[t] = plan_one(service, {t, 30.0 + 60.0 * t}); });
   }
   for (auto& thread : threads) thread.join();
 
@@ -71,8 +79,8 @@ TEST(PlanServiceConcurrent, SameKeyMissesCoalesceOntoOneSolve) {
   EXPECT_EQ(stats.cache_hits, kThreads - 1);
   EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs);
   for (int t = 0; t < kThreads; ++t) {
-    ASSERT_TRUE(responses[t].has_value());
-    expect_well_formed(responses[t]->profile, 30.0 + 60.0 * t);
+    ASSERT_TRUE(tickets[t].has_value());
+    expect_well_formed(tickets[t]->materialize(), 30.0 + 60.0 * t);
   }
 }
 
@@ -89,9 +97,8 @@ TEST(PlanServiceConcurrent, StatsIdentityUnderMixedContention) {
       for (int r = 0; r < kRequestsPerThread; ++r) {
         const int id = next_id.fetch_add(1);
         const double phase = 5.0 + 10.0 * (id % kDistinctKeys);
-        const PlanResponse response =
-            service.request_plan({id, phase + 60.0 * (id / kDistinctKeys)});
-        expect_well_formed(response.profile, phase + 60.0 * (id / kDistinctKeys));
+        const PlanTicket ticket = plan_one(service, {id, phase + 60.0 * (id / kDistinctKeys)});
+        expect_well_formed(ticket.materialize(), phase + 60.0 * (id / kDistinctKeys));
       }
     });
   }
@@ -106,19 +113,17 @@ TEST(PlanServiceConcurrent, StatsIdentityUnderMixedContention) {
 }
 
 TEST(PlanServiceConcurrent, BatchApiCoalescesAndPreservesOrder) {
-  CacheConfig cache;
-  cache.batch_threads = 4;
-  PlanService service(make_planner(), demand(500.0), cache);
+  PlanService service(make_planner(), demand(500.0));
 
   std::vector<PlanRequest> requests;
   for (int i = 0; i < 24; ++i) {
     requests.push_back({100 + i, 5.0 + 10.0 * (i % 3) + 60.0 * (i / 3)});
   }
-  const std::vector<PlanResponse> responses = service.request_plans(requests);
-  ASSERT_EQ(responses.size(), requests.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].vehicle_id, requests[i].vehicle_id);
-    expect_well_formed(responses[i].profile, requests[i].depart_time_s);
+  const std::vector<PlanTicket> tickets = service.request_plan_tickets(requests);
+  ASSERT_EQ(tickets.size(), requests.size());
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    EXPECT_EQ(tickets[i].vehicle_id, requests[i].vehicle_id);
+    expect_well_formed(tickets[i].materialize(), requests[i].depart_time_s);
   }
 
   const ServiceStats stats = service.stats();
@@ -127,7 +132,7 @@ TEST(PlanServiceConcurrent, BatchApiCoalescesAndPreservesOrder) {
   EXPECT_EQ(stats.solver_runs, 3);  // three distinct phase bins in the batch
 
   // A second identical batch is pure cache hits.
-  const auto again = service.request_plans(requests);
+  const auto again = service.request_plan_tickets(requests);
   ASSERT_EQ(again.size(), requests.size());
   const ServiceStats stats2 = service.stats();
   EXPECT_EQ(stats2.solver_runs, 3);
@@ -138,11 +143,11 @@ TEST(PlanServiceConcurrent, HitsServeWhileSolveInFlight) {
   // Prime one key, then hammer it while a different key's solve is running;
   // hits must complete without waiting for the in-flight solve.
   PlanService service(make_planner(), demand(500.0));
-  (void)service.request_plan({0, 5.0});  // prime key A
+  (void)plan_one(service, {0, 5.0});  // prime key A
 
-  std::thread slow([&] { (void)service.request_plan({1, 40.0}); });  // key B (miss)
+  std::thread slow([&] { (void)plan_one(service, {1, 40.0}); });  // key B (miss)
   for (int i = 0; i < 16; ++i) {
-    const PlanResponse hit = service.request_plan({2 + i, 5.0 + 60.0 * (i + 1)});
+    const PlanTicket hit = plan_one(service, {2 + i, 5.0 + 60.0 * (i + 1)});
     EXPECT_TRUE(hit.cache_hit);
   }
   slow.join();
@@ -192,12 +197,12 @@ TEST(PlanServiceConcurrent, MixedStormAcrossShardsNoDuplicateSolvesPerKey) {
         const double cycle = 60.0 * (t * kPerThread + i);
         try {
           if (pick < 8) {  // hot plan key
-            (void)service.request_plan({t, 5.0 + cycle});
+            (void)plan_one(service, {t, 5.0 + cycle});
           } else if (pick < 10) {
-            (void)service.request_plan({t, 5.0 + 10.0 * (pick - 7) + cycle});
+            (void)plan_one(service, {t, 5.0 + 10.0 * (pick - 7) + cycle});
           } else {
-            (void)service.request_replan(
-                {t, 200.0 * (pick - 9), 10.0 + 2.0 * (pick - 10), 30.0 + cycle});
+            (void)replan_one(service,
+                             {t, 200.0 * (pick - 9), 10.0 + 2.0 * (pick - 10), 30.0 + cycle});
           }
         } catch (...) {
           failures.fetch_add(1, std::memory_order_relaxed);
@@ -231,15 +236,14 @@ TEST(PlanServiceConcurrent, TicketBatchMissStormSolvesBatchedPerCaller) {
   // Four threads fire one ticket-batch each into a cold 8-shard service:
   // three plan batches (six distinct phase bins apiece, one in-batch repeat)
   // and one replan batch (six distinct quantized states). Every batch is all
-  // misses, so each caller drives serve_batch's grouped admission and the
-  // batched SoA solver run concurrently with the others - the pooled
+  // misses, so each caller drives serve_batch's grouped admission and its
+  // loop of pooled single solves concurrently with the others - the pooled
   // workspaces, batch telemetry histograms, and shard counters all see
   // cross-thread traffic under TSan. Single-flight still bounds the solves
   // to one per distinct key, and the in-batch repeat must coalesce onto its
   // group leader, never a second solve.
   CacheConfig cache;
   cache.shards = 8;
-  cache.batch_threads = 1;
   PlanService service(make_planner(), demand(500.0), cache);
 
   constexpr int kPlanThreads = 3;
@@ -308,6 +312,20 @@ TEST(PlanServiceConcurrent, TicketBatchMissStormSolvesBatchedPerCaller) {
   EXPECT_GE(service.batch_group_sizes().count(), static_cast<std::uint64_t>(kDistinctKeys));
 }
 
+/// Same hit flag and bit-equal materialized nodes.
+void expect_identical(const PlanTicket& a, const PlanTicket& b) {
+  EXPECT_EQ(a.cache_hit, b.cache_hit);
+  const core::PlannedProfile pa = a.materialize();
+  const core::PlannedProfile pb = b.materialize();
+  ASSERT_EQ(pa.nodes().size(), pb.nodes().size());
+  for (std::size_t n = 0; n < pa.nodes().size(); ++n) {
+    EXPECT_EQ(pa.nodes()[n].position_m, pb.nodes()[n].position_m);
+    EXPECT_EQ(pa.nodes()[n].speed_ms, pb.nodes()[n].speed_ms);
+    EXPECT_EQ(pa.nodes()[n].time_s, pb.nodes()[n].time_s);
+    EXPECT_EQ(pa.nodes()[n].energy_mah, pb.nodes()[n].energy_mah);
+  }
+}
+
 TEST(PlanServiceConcurrent, OneVsEightShardsAreByteIdentical) {
   // Sharding is a pure partitioning of the cache: replaying one schedule on
   // a single-mutex service and an 8-shard service must produce bit-equal
@@ -323,28 +341,10 @@ TEST(PlanServiceConcurrent, OneVsEightShardsAreByteIdentical) {
     const double cycle = 60.0 * (i / 5);
     if (i % 3 == 0) {
       const ReplanRequest request{i, 150.0 + 50.0 * (i % 5), 8.0 + (i % 4), 30.0 + cycle};
-      const PlanResponse a = service1.request_replan(request);
-      const PlanResponse b = service8.request_replan(request);
-      ASSERT_EQ(a.profile.nodes().size(), b.profile.nodes().size());
-      EXPECT_EQ(a.cache_hit, b.cache_hit);
-      for (std::size_t n = 0; n < a.profile.nodes().size(); ++n) {
-        EXPECT_EQ(a.profile.nodes()[n].position_m, b.profile.nodes()[n].position_m);
-        EXPECT_EQ(a.profile.nodes()[n].speed_ms, b.profile.nodes()[n].speed_ms);
-        EXPECT_EQ(a.profile.nodes()[n].time_s, b.profile.nodes()[n].time_s);
-        EXPECT_EQ(a.profile.nodes()[n].energy_mah, b.profile.nodes()[n].energy_mah);
-      }
+      expect_identical(replan_one(service1, request), replan_one(service8, request));
     } else {
       const PlanRequest request{i, 5.0 + 10.0 * (i % 5) + cycle};
-      const PlanResponse a = service1.request_plan(request);
-      const PlanResponse b = service8.request_plan(request);
-      ASSERT_EQ(a.profile.nodes().size(), b.profile.nodes().size());
-      EXPECT_EQ(a.cache_hit, b.cache_hit);
-      for (std::size_t n = 0; n < a.profile.nodes().size(); ++n) {
-        EXPECT_EQ(a.profile.nodes()[n].position_m, b.profile.nodes()[n].position_m);
-        EXPECT_EQ(a.profile.nodes()[n].speed_ms, b.profile.nodes()[n].speed_ms);
-        EXPECT_EQ(a.profile.nodes()[n].time_s, b.profile.nodes()[n].time_s);
-        EXPECT_EQ(a.profile.nodes()[n].energy_mah, b.profile.nodes()[n].energy_mah);
-      }
+      expect_identical(plan_one(service1, request), plan_one(service8, request));
     }
   }
 

@@ -35,6 +35,15 @@ core::VelocityPlanner make_planner() {
   return core::VelocityPlanner(std::move(corridor), ev::EnergyModel{}, cfg);
 }
 
+/// A single request is a span of one.
+PlanTicket plan_one(PlanService& service, const PlanRequest& request) {
+  return std::move(service.request_plan_tickets({&request, 1}).front());
+}
+
+PlanTicket replan_one(PlanService& service, const ReplanRequest& request) {
+  return std::move(service.request_replan_tickets({&request, 1}).front());
+}
+
 CacheConfig sharded(unsigned shards, std::size_t capacity = 256) {
   CacheConfig cache;
   cache.shards = shards;
@@ -160,17 +169,17 @@ TEST(PlanShards, LruEvictsLeastRecentlyTouched) {
   // capacity 2, one shard: insert A, B; touch A; insert C. The LRU victim
   // must be B (A was refreshed by its hit), so A stays hot and B re-solves.
   PlanService service(make_planner(), demand(500.0), sharded(1, 2));
-  (void)service.request_plan({0, 5.0});    // A: solve
-  (void)service.request_plan({1, 25.0});   // B: solve
-  (void)service.request_plan({2, 65.0});   // A again: hit, refreshes LRU
-  (void)service.request_plan({3, 45.0});   // C: solve, evicts B
+  (void)plan_one(service, {0, 5.0});    // A: solve
+  (void)plan_one(service, {1, 25.0});   // B: solve
+  (void)plan_one(service, {2, 65.0});   // A again: hit, refreshes LRU
+  (void)plan_one(service, {3, 45.0});   // C: solve, evicts B
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.solver_runs, 3);
   EXPECT_EQ(stats.evictions, 1);
 
-  EXPECT_TRUE(service.request_plan({4, 125.0}).cache_hit);   // A still cached
-  EXPECT_TRUE(service.request_plan({5, 105.0}).cache_hit);   // C still cached
-  EXPECT_FALSE(service.request_plan({6, 85.0}).cache_hit);   // B was the victim
+  EXPECT_TRUE(plan_one(service, {4, 125.0}).cache_hit);   // A still cached
+  EXPECT_TRUE(plan_one(service, {5, 105.0}).cache_hit);   // C still cached
+  EXPECT_FALSE(plan_one(service, {6, 85.0}).cache_hit);   // B was the victim
   stats = service.stats();
   EXPECT_EQ(stats.solver_runs, 4);
   EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs + stats.rejections);
@@ -184,9 +193,9 @@ TEST(PlanShards, CapacityIsPerShard) {
   const auto s2 = service.slot_for_plan(Seconds(25.0)).shard;
   const auto s3 = service.slot_for_plan(Seconds(45.0)).shard;
   ASSERT_TRUE(s1 != s2 || s1 != s3 || s2 != s3);  // routing spreads these keys
-  (void)service.request_plan({0, 5.0});
-  (void)service.request_plan({1, 25.0});
-  (void)service.request_plan({2, 45.0});
+  (void)plan_one(service, {0, 5.0});
+  (void)plan_one(service, {1, 25.0});
+  (void)plan_one(service, {2, 45.0});
   EXPECT_LE(service.stats().evictions, 0);
 }
 
@@ -196,12 +205,12 @@ TEST(PlanShards, TtlExpiresStaleEntries) {
   CacheConfig cache;
   cache.ttl_s = 30.0;  // shorter than the 60 s hyperperiod
   PlanService service(make_planner(), demand(500.0), cache);
-  (void)service.request_plan({0, 5.0});  // solve, reference time 5
+  (void)plan_one(service, {0, 5.0});  // solve, reference time 5
   // Phase-congruent but 60 s later: past the TTL, must re-solve.
-  const PlanResponse stale = service.request_plan({1, 65.0});
+  const PlanTicket stale = plan_one(service, {1, 65.0});
   EXPECT_FALSE(stale.cache_hit);
   // 0.4 s into the refreshed entry's life: served.
-  const PlanResponse fresh = service.request_plan({2, 65.4});
+  const PlanTicket fresh = plan_one(service, {2, 65.4});
   EXPECT_TRUE(fresh.cache_hit);
 
   const ServiceStats stats = service.stats();
@@ -214,8 +223,8 @@ TEST(PlanShards, TtlExpiresStaleEntries) {
 
 TEST(PlanShards, ZeroTtlNeverExpires) {
   PlanService service(make_planner(), demand(500.0));  // ttl_s = 0 (off)
-  (void)service.request_plan({0, 5.0});
-  EXPECT_TRUE(service.request_plan({1, 5.0 + 60.0 * 1000}).cache_hit);
+  (void)plan_one(service, {0, 5.0});
+  EXPECT_TRUE(plan_one(service, {1, 5.0 + 60.0 * 1000}).cache_hit);
   EXPECT_EQ(service.stats().expirations, 0);
 }
 
@@ -228,13 +237,13 @@ TEST(PlanShards, AdmissionControlShedsNewLeadersOnly) {
   PlanService service(make_planner(), demand(500.0), cache);
 
   // Occupy the shard's single solve slot with key A's leader...
-  std::thread leader([&] { (void)service.request_plan({0, 5.0}); });
+  std::thread leader([&] { (void)plan_one(service, {0, 5.0}); });
   while (service.stats().queue_depth < 1) std::this_thread::yield();
 
   // ...a distinct cold key now needs a second concurrent solve: shed.
-  EXPECT_THROW((void)service.request_plan({1, 25.0}), ServiceOverload);
+  EXPECT_THROW((void)plan_one(service, {1, 25.0}), ServiceOverload);
   // A phase-congruent request for A itself coalesces (never rejected).
-  const PlanResponse follower = service.request_plan({2, 65.0});
+  const PlanTicket follower = plan_one(service, {2, 65.0});
   EXPECT_TRUE(follower.cache_hit);
   leader.join();
 
@@ -247,16 +256,16 @@ TEST(PlanShards, AdmissionControlShedsNewLeadersOnly) {
   EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs + stats.rejections);
 
   // The shard drained: the previously shed key is admitted now.
-  EXPECT_FALSE(service.request_plan({3, 25.0}).cache_hit);
+  EXPECT_FALSE(plan_one(service, {3, 25.0}).cache_hit);
 }
 
 // --- Per-shard statistics ------------------------------------------------
 
 TEST(PlanShards, PerShardStatsSumToAggregate) {
   PlanService service(make_planner(), demand(500.0), sharded(8));
-  for (int i = 0; i < 12; ++i) (void)service.request_plan({i, 5.0 + 5.0 * i});
-  for (int i = 0; i < 12; ++i) (void)service.request_plan({100 + i, 65.0 + 5.0 * i});  // hits
-  for (int i = 0; i < 6; ++i) (void)service.request_replan({200 + i, 200.0, 10.0, 30.0 + 60.0 * i});
+  for (int i = 0; i < 12; ++i) (void)plan_one(service, {i, 5.0 + 5.0 * i});
+  for (int i = 0; i < 12; ++i) (void)plan_one(service, {100 + i, 65.0 + 5.0 * i});  // hits
+  for (int i = 0; i < 6; ++i) (void)replan_one(service, {200 + i, 200.0, 10.0, 30.0 + 60.0 * i});
 
   const std::vector<ServiceStats> per_shard = service.shard_stats();
   ASSERT_EQ(per_shard.size(), service.shard_count());
@@ -284,15 +293,17 @@ TEST(PlanShards, PerShardStatsSumToAggregate) {
 // --- Tickets -------------------------------------------------------------
 
 TEST(PlanShards, TicketMaterializesTheResponseProfile) {
+  // The materialized ticket is the cold solve of its bin's first request,
+  // time-shifted to this request: bit-equal, miss and hits alike.
   PlanService ticketed(make_planner(), demand(500.0), sharded(8));
-  PlanService legacy(make_planner(), demand(500.0), sharded(8));
+  const core::PlannedProfile cold = make_planner().plan(Seconds(5.0), demand(500.0));
   for (double t : {5.0, 65.0, 125.0}) {
-    const PlanTicket ticket = ticketed.request_plan_ticket({7, t});
-    const PlanResponse response = legacy.request_plan({7, t});
+    const PlanTicket ticket = plan_one(ticketed, {7, t});
     ASSERT_TRUE(ticket.reference);
     const core::PlannedProfile materialized = ticket.materialize();
+    const core::PlannedProfile expected = cold.time_shifted(t - 5.0);
     const auto& a = materialized.nodes();
-    const auto& b = response.profile.nodes();
+    const auto& b = expected.nodes();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].position_m, b[i].position_m);
@@ -302,8 +313,8 @@ TEST(PlanShards, TicketMaterializesTheResponseProfile) {
     }
   }
   // Hits share the cached reference instead of copying it.
-  const PlanTicket first = ticketed.request_plan_ticket({8, 185.0});
-  const PlanTicket second = ticketed.request_plan_ticket({9, 245.0});
+  const PlanTicket first = plan_one(ticketed, {8, 185.0});
+  const PlanTicket second = plan_one(ticketed, {9, 245.0});
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(first.reference.get(), second.reference.get());
   EXPECT_DOUBLE_EQ(second.time_shift_s - first.time_shift_s, 60.0);
@@ -318,11 +329,13 @@ TEST(PlanShards, BatchTicketsMatchSingleRequests) {
   const std::vector<PlanTicket> tickets = batched.request_plan_tickets(requests);
   ASSERT_EQ(tickets.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const PlanResponse expected = single.request_plan(requests[i]);
+    const PlanTicket expected = plan_one(single, requests[i]);
     EXPECT_EQ(tickets[i].vehicle_id, expected.vehicle_id);
+    EXPECT_EQ(tickets[i].cache_hit, expected.cache_hit);
     const core::PlannedProfile materialized = tickets[i].materialize();
+    const core::PlannedProfile expected_profile = expected.materialize();
     const auto& a = materialized.nodes();
-    const auto& b = expected.profile.nodes();
+    const auto& b = expected_profile.nodes();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t n = 0; n < a.size(); ++n) {
       EXPECT_EQ(a[n].time_s, b[n].time_s);

@@ -7,6 +7,9 @@
 //   bench_perf --benchmark_format=json --benchmark_out=cand.json ...
 //   bench_compare --baseline BENCH_dp.json --candidate cand.json --max-regress 0.10
 //
+// --filter SUBSTRING gates only the matching benchmarks; a filter that
+// matches no baseline entry is a config error, never a vacuous pass.
+//
 // Exit codes: 0 = within budget, 1 = regression, 2 = usage/parse/config error.
 //
 // Debug numbers must never be compared (that is how the original baseline
@@ -327,8 +330,10 @@ int run_compare(const BenchReport& baseline, const BenchReport& candidate,
 
   std::size_t compared = 0;
   std::size_t regressions = 0;
+  std::size_t filtered_baseline = 0;
   for (const auto& [name, base] : baseline.entries) {
     if (!opt.filter.empty() && name.find(opt.filter) == std::string::npos) continue;
+    ++filtered_baseline;
     const auto it = candidate.entries.find(name);
     if (it == candidate.entries.end()) continue;  // candidate ran a subset
     if (base.is_count != it->second.is_count) {
@@ -358,6 +363,14 @@ int run_compare(const BenchReport& baseline, const BenchReport& candidate,
     ++fresh;
     std::printf("%-48s %12s -> %12.1f %-5s NEW (no baseline)\n", name.c_str(), "-",
                 cand.time_ns, cand.is_count ? "count" : "ns");
+  }
+  // A filter names the benchmarks a gate is for: when the baseline holds
+  // none of them the gate would compare nothing and pass, so it is an error.
+  if (!opt.filter.empty() && filtered_baseline == 0) {
+    std::fprintf(stderr,
+                 "bench_compare: no baseline entry matches filter %s - nothing gated\n",
+                 opt.filter.c_str());
+    return 2;
   }
   if (compared == 0 && fresh == 0) {
     std::fprintf(stderr,
@@ -468,6 +481,14 @@ int self_test() {
   const auto other = parse(report_json("release", "BM_Y/1", 100.0, "ns"), "cpu_time");
   expect(run_compare(*base, *other, opt) == 0, "all-new candidate passes, reported as new");
 
+  // A filter that matches no baseline entry gates nothing: refused, even
+  // when the candidate has matching (new) entries.
+  CompareOptions filtered = opt;
+  filtered.filter = "BM_Y";
+  expect(run_compare(*base, *other, filtered) == 2, "filter matching no baseline entry refused");
+  filtered.filter = "BM_X";
+  expect(run_compare(*base, *same, filtered) == 0, "filter matching a baseline entry gates it");
+
   // Two reports with nothing in them at all still flag a config error.
   const std::string empty_report =
       R"({"context": {"evvo_build": "release"}, "benchmarks": []})";
@@ -483,7 +504,8 @@ int usage() {
                "usage: bench_compare --baseline FILE --candidate FILE\n"
                "         [--max-regress FRACTION]   regression budget (default 0.10)\n"
                "         [--metric cpu_time|real_time]  (default cpu_time)\n"
-               "         [--filter SUBSTRING]       gate only matching benchmarks\n"
+               "         [--filter SUBSTRING]       gate only matching benchmarks (exit 2\n"
+               "                                    when no baseline entry matches)\n"
                "         [--allow-debug]            admit evvo_build=debug reports\n"
                "       bench_compare --self-test\n");
   return 2;

@@ -132,12 +132,12 @@ int main(int argc, char** argv) {
     }
     const unsigned batch_jobs =
         std::max(1u, opt.jobs ? opt.jobs : evvo::common::ThreadPool::resolve_threads(0) / 2);
-    evvo::common::ThreadPool batch_pool(batch_jobs);
+    evvo::common::ThreadPool job_pool(batch_jobs);
     std::atomic<std::size_t> batch_failures{0};
     std::atomic<std::size_t> lanes{0}, batched{0}, fallback{0}, infeasible_lanes{0};
     std::mutex batch_io;
     const std::uint64_t t0 = evvo::common::now_ns();
-    batch_pool.parallel_for(opt.count, [&](std::size_t index) {
+    job_pool.parallel_for(opt.count, [&](std::size_t index) {
       const std::uint64_t seed = opt.seed_start + index;
       const evvo::check::BatchIdentityReport report =
           evvo::check::check_batch_identity(seed, batch_opt);

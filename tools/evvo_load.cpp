@@ -3,21 +3,23 @@
 // Generates a deterministic fleet workload (Poisson arrivals, Zipf hot-slot
 // skew, mixed cold-plan/replan traffic) over a small signalized corridor and
 // drives the planning service from M threads, reporting p50/p99 serving
-// latency and plans/sec. Three modes:
+// latency and plans/sec. Both serving modes go through the service's one
+// ticket-span API:
 //
-//   --mode legacy    per-request PlanResponse serving on a 1-shard service -
-//                    the original single-mutex layout and its materializing
-//                    hit path (every hit copies the node vector).
-//   --mode sharded   per-tick batched PlanTicket serving on an N-shard
-//                    service - the fleet path this tool exists to size.
+//   --mode legacy    one request per call on a 1-shard service, each ticket
+//                    materialized - the original single-mutex layout and its
+//                    per-request profile copy.
+//   --mode sharded   per-tick batched ticket serving on an N-shard service,
+//                    tickets never materialized - the fleet path this tool
+//                    exists to size.
 //   --mode compare   both, on the byte-identical workload; prints the
 //                    plans/sec speedup and fails (exit 1) when it is below
 //                    --min-speedup. This is the CI load-smoke gate.
 //
 // --out writes the numbers as Google-Benchmark-style JSON
-// (BM_LoadPlanService/<mode>_{per_plan,p50,p99}) tagged with evvo_build, so
-// tools/bench_compare gates them against BENCH_dp.json like any solver
-// benchmark. Latency percentiles are histogram-derived (telemetry.hpp
+// (BM_LoadPlanService/<mode>_{per_plan,p50,p99}) tagged with evvo_build, the
+// format tools/bench_compare reads. BENCH_dp.json records none of these
+// entries, so no committed baseline gates them. Latency percentiles are histogram-derived (telemetry.hpp
 // log-linear layout, 6.25% bucket width) - no per-run sample sort.
 //
 // --telemetry-dump FILE writes the full telemetry registry snapshot (shard
@@ -318,9 +320,13 @@ std::vector<Request> make_workload(const Options& opt, std::size_t count,
 /// Solves every slot once (epoch 0 of each phase) so the measured stream is
 /// the steady-state hit regime in both modes.
 void warm_service(cloud::PlanService& service) {
-  for (const Slot& slot : plan_slots()) (void)service.request_plan({-1, slot.phase_s});
+  std::vector<cloud::PlanRequest> plans;
+  for (const Slot& slot : plan_slots()) plans.push_back({-1, slot.phase_s});
+  std::vector<cloud::ReplanRequest> replans;
   for (const Slot& slot : replan_slots())
-    (void)service.request_replan({-1, slot.position_m, slot.speed_ms, slot.phase_s});
+    replans.push_back({-1, slot.position_m, slot.speed_ms, slot.phase_s});
+  (void)service.request_plan_tickets(plans);
+  (void)service.request_replan_tickets(replans);
 }
 
 // --- Load measurement ----------------------------------------------------
@@ -346,17 +352,22 @@ struct LoadResult {
   }
 };
 
-/// Legacy serving: one materializing PlanResponse call per request - what
-/// every caller of the pre-shard service did.
+/// Legacy serving: one request per call (a span of one), its ticket
+/// materialized - the per-request profile copy every caller of the
+/// pre-shard service paid.
 void drive_legacy(cloud::PlanService& service, const std::vector<Request>& requests,
                   telemetry::Histogram& lat_hist, std::size_t& sink) {
   for (const Request& r : requests) {
     const std::uint64_t start = common::now_ns();
-    const cloud::PlanResponse response =
-        r.replan ? service.request_replan({r.vehicle, r.position_m, r.speed_ms, r.time_s})
-                 : service.request_plan({r.vehicle, r.time_s});
+    const cloud::PlanRequest plan{r.vehicle, r.time_s};
+    const cloud::ReplanRequest replan{r.vehicle, r.position_m, r.speed_ms, r.time_s};
+    const core::PlannedProfile profile =
+        (r.replan ? service.request_replan_tickets({&replan, 1})
+                  : service.request_plan_tickets({&plan, 1}))
+            .front()
+            .materialize();
     lat_hist.record(common::now_ns() - start);
-    sink += response.profile.nodes().size();
+    sink += profile.nodes().size();
   }
 }
 
@@ -393,7 +404,6 @@ void drive_sharded(cloud::PlanService& service, const std::vector<Request>& requ
 LoadResult run_load(const Options& opt, bool sharded) {
   cloud::CacheConfig cache;
   cache.shards = sharded ? opt.shards : 1;
-  cache.batch_threads = 1;  // drivers are the concurrency; no inner pool
   cloud::PlanService service(make_planner(), demand(), cache);
   warm_service(service);
 
@@ -532,7 +542,6 @@ bool nodes_equal(const std::vector<core::PlanNode>& a, const std::vector<core::P
 int run_check(const Options& opt) {
   cloud::CacheConfig cache;
   cache.shards = opt.shards;
-  cache.batch_threads = 1;
   cloud::PlanService service(make_planner(), demand(), cache);
   core::VelocityPlanner oracle = make_planner();
   const auto arrivals = demand();
