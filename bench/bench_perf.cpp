@@ -13,9 +13,7 @@
 #include "cloud/plan_service.hpp"
 #include "common/simd.hpp"
 #include "common/telemetry.hpp"
-#include "core/dp_batch.hpp"
 #include "core/planner.hpp"
-#include "core/workspace_pool.hpp"
 #include "data/synthetic_volume.hpp"
 #include "ev/energy_model.hpp"
 #include "learn/sae.hpp"
@@ -80,79 +78,6 @@ void BM_DpSolveCorridorParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_DpSolveCorridorParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-
-/// K phase-staggered cold solves of the US-25 corridor: identical grid and
-/// event skeleton, per-scenario departure times and T_q windows - the
-/// multi-scenario workload the SoA batch kernel packs lane-interleaved into
-/// one sweep. Shared by the gate pair below.
-struct BatchWorkload {
-  road::Corridor corridor = road::make_us25_corridor();
-  ev::EnergyModel energy;
-  std::vector<core::DpProblem> problems;
-
-  explicit BatchWorkload(int k) {
-    core::PlannerConfig cfg;
-    cfg.policy = core::SignalPolicy::kQueueAware;
-    const core::VelocityPlanner planner(corridor, energy, cfg);
-    const auto arrivals =
-        std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0));
-    for (int i = 0; i < k; ++i) {
-      const double depart_s = 11.0 * i;  // staggered phases, same skeleton
-      core::DpProblem p;
-      p.route = &corridor.route;
-      p.energy = &energy;
-      p.depart_time = Seconds(depart_s);
-      p.resolution = cfg.resolution;
-      p.resolution.threads = 1;
-      p.penalty = cfg.penalty;
-      p.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
-      p.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
-      p.events = planner.build_events(Seconds(depart_s), arrivals);
-      problems.push_back(std::move(p));
-    }
-  }
-};
-
-void BM_DpBatchSolve(benchmark::State& state) {
-  // Gate pair: BM_DpBatchSolve/8 against BM_DpBatchSolveSequential/8
-  // (byte-identical problems, one solve_dp each). Steady-state serving shape:
-  // the pool persists across batches in PlanService, so one untimed batch
-  // first-touches the SoA tables and later iterations measure the sweep
-  // itself. On vector-width-1 builds both paths coincide.
-  const BatchWorkload w(static_cast<int>(state.range(0)));
-  core::WorkspacePool pool;
-  core::DpBatchStats stats;
-  benchmark::DoNotOptimize(core::solve_dp_batch(w.problems, pool, nullptr, &stats));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_dp_batch(w.problems, pool, nullptr, &stats));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(std::to_string(stats.batched_lanes) + " SoA lanes + " +
-                 std::to_string(stats.fallback_lanes) + " fallback, " +
-                 std::to_string(core::dp_batch_lanes()) + "-wide sweep");
-}
-BENCHMARK(BM_DpBatchSolve)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_DpBatchSolveSequential(benchmark::State& state) {
-  // The baseline the batch kernel is measured against: the same K scenarios
-  // solved back to back through one pooled workspace, the way PlanService
-  // serves a platoon of misses. As in BM_DpBatchSolve, one untimed pass
-  // first-touches the tables and builds the model cache, so the pair
-  // compares the sweeps and nothing else.
-  const BatchWorkload w(static_cast<int>(state.range(0)));
-  core::DpWorkspace workspace;
-  for (const core::DpProblem& p : w.problems) {
-    benchmark::DoNotOptimize(core::solve_dp(p, workspace));
-  }
-  for (auto _ : state) {
-    for (const core::DpProblem& p : w.problems) {
-      benchmark::DoNotOptimize(core::solve_dp(p, workspace));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel("one cold solve_dp per scenario, pooled workspace");
-}
-BENCHMARK(BM_DpBatchSolveSequential)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_PlanServiceReplanHit(benchmark::State& state) {
   // Segment-memo hit path: mid-route replans whose quantized state and cycle

@@ -308,11 +308,7 @@ class PlanService {
   /// through solve_miss (the pooled single-solve path), publishing each
   /// result as soon as its solve finishes, then waits out followers and
   /// derives every other member's ticket from its group lead's (one cache
-  /// transaction per group). Leaders are not packed into one SoA sweep
-  /// (core/dp_batch.hpp): replayed on the fleet benchmark, that sweep was
-  /// only 1.10x faster than pooled single solves on miss_storm and 0.83x on
-  /// rolling_horizon, short of the 1.3x it needed, and single solves can
-  /// publish early.
+  /// transaction per group).
   template <class Request>
   std::vector<PlanTicket> serve_batch(std::span<const Request> requests);
 

@@ -155,28 +155,11 @@ inline VecI32 select(MaskF m, VecI32 if_true, VecI32 if_false) {
 inline int movemask(MaskF m) { return _mm256_movemask_ps(m.m); }
 inline int movemask(MaskD m) { return _mm256_movemask_pd(m.m); }
 
-/// Lane-wise integer equality, returned as a float-shaped mask: the all-ones
-/// lane pattern of an integer compare is a valid blendv/select mask, so
-/// integer predicates (e.g. destination-bin matching in the batched DP
-/// scatter) compose with float compares without a cast zoo at call sites.
-inline MaskF cmp_eq(VecI32 a, VecI32 b) {
-  return {_mm256_castsi256_ps(_mm256_cmpeq_epi32(a.v, b.v))};
-}
-
 /// Bitwise mask combinators. mask_andnot(a, b) is a & ~b (NOT the andnot
 /// instruction's operand order, which negates the first operand).
 inline MaskF mask_and(MaskF a, MaskF b) { return {_mm256_and_ps(a.m, b.m)}; }
 inline MaskF mask_or(MaskF a, MaskF b) { return {_mm256_or_ps(a.m, b.m)}; }
 inline MaskF mask_andnot(MaskF a, MaskF b) { return {_mm256_andnot_ps(b.m, a.m)}; }
-
-/// Inverse of movemask(MaskF): lane l is all-ones iff bit l of `bits` is set.
-/// Lets kernels that track lane liveness as an integer bitmask (cheap scalar
-/// branches) rejoin the vector select path.
-inline MaskF mask_from_bits(unsigned bits) {
-  const __m256i lane = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-  const __m256i sel = _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(bits)), lane);
-  return {_mm256_castsi256_ps(_mm256_cmpeq_epi32(sel, lane))};
-}
 
 inline VecD widen_low(VecF x) { return {_mm256_cvtps_pd(_mm256_castps256_ps128(x.v))}; }
 inline VecD widen_high(VecF x) { return {_mm256_cvtps_pd(_mm256_extractf128_ps(x.v, 1))}; }
@@ -185,29 +168,6 @@ inline VecD widen_high(VecF x) { return {_mm256_cvtps_pd(_mm256_extractf128_ps(x
 /// in-range nonnegative values). Writes VecD::kWidth lanes.
 inline void trunc_store_i32(VecD x, std::int32_t* p) {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm256_cvttpd_epi32(x.v));
-}
-
-/// Truncating double -> int32 entirely in registers: lanes [0, VecD::kWidth)
-/// of the result come from `lo`, the upper lanes from `hi` - one full VecI32,
-/// with the same per-lane semantics as trunc_store_i32 but no store/reload
-/// round trip. For backends where VecI32::kWidth == 2 * VecD::kWidth.
-inline VecI32 trunc_concat_i32(VecD lo, VecD hi) {
-  return {_mm256_inserti128_si256(_mm256_castsi128_si256(_mm256_cvttpd_epi32(lo.v)),
-                                  _mm256_cvttpd_epi32(hi.v), 1)};
-}
-
-/// Register form of trunc_store_i32 for backends where VecI32 and VecD have
-/// equal width; here only the low VecD::kWidth lanes are meaningful (upper
-/// lanes zero), so kernels must consume it only when the widths match.
-inline VecI32 trunc_i32(VecD x) {
-  return {_mm256_zextsi128_si256(_mm256_cvttpd_epi32(x.v))};
-}
-
-/// Read one int32 lane at a runtime index (0 <= lane < VecI32::kWidth).
-inline std::int32_t extract_lane_i32(VecI32 x, unsigned lane) {
-  const __m256i rot =
-      _mm256_permutevar8x32_epi32(x.v, _mm256_set1_epi32(static_cast<int>(lane)));
-  return _mm_cvtsi128_si32(_mm256_castsi256_si128(rot));
 }
 
 inline VecD sqrt(VecD a) { return {_mm256_sqrt_pd(a.v)}; }
@@ -310,22 +270,10 @@ inline VecI32 select(MaskF m, VecI32 if_true, VecI32 if_false) {
 inline int movemask(MaskF m) { return _mm_movemask_ps(m.m); }
 inline int movemask(MaskD m) { return _mm_movemask_pd(m.m); }
 
-/// Lane-wise integer equality as a float-shaped mask (see the AVX2 backend).
-inline MaskF cmp_eq(VecI32 a, VecI32 b) {
-  return {_mm_castsi128_ps(_mm_cmpeq_epi32(a.v, b.v))};
-}
-
 /// Bitwise mask combinators; mask_andnot(a, b) is a & ~b.
 inline MaskF mask_and(MaskF a, MaskF b) { return {_mm_and_ps(a.m, b.m)}; }
 inline MaskF mask_or(MaskF a, MaskF b) { return {_mm_or_ps(a.m, b.m)}; }
 inline MaskF mask_andnot(MaskF a, MaskF b) { return {_mm_andnot_ps(b.m, a.m)}; }
-
-/// Inverse of movemask(MaskF): lane l is all-ones iff bit l of `bits` is set.
-inline MaskF mask_from_bits(unsigned bits) {
-  const __m128i lane = _mm_setr_epi32(1, 2, 4, 8);
-  const __m128i sel = _mm_and_si128(_mm_set1_epi32(static_cast<int>(bits)), lane);
-  return {_mm_castsi128_ps(_mm_cmpeq_epi32(sel, lane))};
-}
 
 inline VecD widen_low(VecF x) { return {_mm_cvtps_pd(x.v)}; }
 inline VecD widen_high(VecF x) {
@@ -336,22 +284,6 @@ inline void trunc_store_i32(VecD x, std::int32_t* p) {
   const __m128i k = _mm_cvttpd_epi32(x.v);  // lanes 0..1 valid
   p[0] = _mm_cvtsi128_si32(k);
   p[1] = _mm_cvtsi128_si32(_mm_shuffle_epi32(k, 1));
-}
-
-/// In-register truncating concat (see the AVX2 backend): cvttpd leaves each
-/// pair in lanes 0..1, so a 64-bit unpack interleaves lo|hi into all four.
-inline VecI32 trunc_concat_i32(VecD lo, VecD hi) {
-  return {_mm_unpacklo_epi64(_mm_cvttpd_epi32(lo.v), _mm_cvttpd_epi32(hi.v))};
-}
-
-/// Register form of trunc_store_i32; low VecD::kWidth lanes valid, rest zero.
-inline VecI32 trunc_i32(VecD x) { return {_mm_cvttpd_epi32(x.v)}; }
-
-/// Read one int32 lane at a runtime index (0 <= lane < VecI32::kWidth).
-inline std::int32_t extract_lane_i32(VecI32 x, unsigned lane) {
-  alignas(16) std::int32_t lanes[VecI32::kWidth];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), x.v);
-  return lanes[lane];
 }
 
 inline VecD sqrt(VecD a) { return {_mm_sqrt_pd(a.v)}; }
@@ -463,20 +395,10 @@ inline int movemask(MaskD m) {
   return bits;
 }
 
-/// Lane-wise integer equality as a float-shaped mask (see the AVX2 backend).
-inline MaskF cmp_eq(VecI32 a, VecI32 b) { return {vceqq_s32(a.v, b.v)}; }
-
 /// Bitwise mask combinators; mask_andnot(a, b) is a & ~b (vbic operand order).
 inline MaskF mask_and(MaskF a, MaskF b) { return {vandq_u32(a.m, b.m)}; }
 inline MaskF mask_or(MaskF a, MaskF b) { return {vorrq_u32(a.m, b.m)}; }
 inline MaskF mask_andnot(MaskF a, MaskF b) { return {vbicq_u32(a.m, b.m)}; }
-
-/// Inverse of movemask(MaskF): lane l is all-ones iff bit l of `bits` is set.
-inline MaskF mask_from_bits(unsigned bits) {
-  const std::uint32_t lane_bits[4] = {1, 2, 4, 8};
-  const uint32x4_t lane = vld1q_u32(lane_bits);
-  return {vceqq_u32(vandq_u32(vdupq_n_u32(bits), lane), lane)};
-}
 
 inline VecD widen_low(VecF x) { return {vcvt_f64_f32(vget_low_f32(x.v))}; }
 inline VecD widen_high(VecF x) { return {vcvt_f64_f32(vget_high_f32(x.v))}; }
@@ -484,25 +406,6 @@ inline VecD widen_high(VecF x) { return {vcvt_f64_f32(vget_high_f32(x.v))}; }
 inline void trunc_store_i32(VecD x, std::int32_t* p) {
   p[0] = static_cast<std::int32_t>(vgetq_lane_f64(x.v, 0));
   p[1] = static_cast<std::int32_t>(vgetq_lane_f64(x.v, 1));
-}
-
-/// In-register truncating concat (see the AVX2 backend): fcvtzs truncates
-/// toward zero exactly like the scalar cast; narrow and join the halves.
-inline VecI32 trunc_concat_i32(VecD lo, VecD hi) {
-  return {vcombine_s32(vmovn_s64(vcvtq_s64_f64(lo.v)),
-                       vmovn_s64(vcvtq_s64_f64(hi.v)))};
-}
-
-/// Register form of trunc_store_i32; low VecD::kWidth lanes valid, rest zero.
-inline VecI32 trunc_i32(VecD x) {
-  return {vcombine_s32(vmovn_s64(vcvtq_s64_f64(x.v)), vdup_n_s32(0))};
-}
-
-/// Read one int32 lane at a runtime index (0 <= lane < VecI32::kWidth).
-inline std::int32_t extract_lane_i32(VecI32 x, unsigned lane) {
-  std::int32_t lanes[VecI32::kWidth];
-  vst1q_s32(lanes, x.v);
-  return lanes[lane];
 }
 
 inline VecD sqrt(VecD a) { return {vsqrtq_f64(a.v)}; }
@@ -588,16 +491,10 @@ inline VecI32 select(MaskF m, VecI32 if_true, VecI32 if_false) {
 inline int movemask(MaskF m) { return m.m ? 1 : 0; }
 inline int movemask(MaskD m) { return m.m ? 1 : 0; }
 
-/// Lane-wise integer equality as a float-shaped mask (see the AVX2 backend).
-inline MaskF cmp_eq(VecI32 a, VecI32 b) { return {a.v == b.v}; }
-
 /// Bitwise mask combinators; mask_andnot(a, b) is a & ~b.
 inline MaskF mask_and(MaskF a, MaskF b) { return {a.m && b.m}; }
 inline MaskF mask_or(MaskF a, MaskF b) { return {a.m || b.m}; }
 inline MaskF mask_andnot(MaskF a, MaskF b) { return {a.m && !b.m}; }
-
-/// Inverse of movemask(MaskF): the single lane follows bit 0 of `bits`.
-inline MaskF mask_from_bits(unsigned bits) { return {(bits & 1u) != 0}; }
 
 inline VecD widen_low(VecF x) { return {static_cast<double>(x.v)}; }
 /// Width 1 has no high half; defined (as the sole lane) so generic kernels
@@ -607,19 +504,6 @@ inline VecD widen_high(VecF x) { return {static_cast<double>(x.v)}; }
 inline void trunc_store_i32(VecD x, std::int32_t* p) {
   *p = static_cast<std::int32_t>(x.v);
 }
-
-/// Width 1 has no high half to concat; defined (truncating the sole `lo`
-/// lane) so generic kernels compile, but kernels must consume it only when
-/// VecI32::kWidth > VecD::kWidth.
-inline VecI32 trunc_concat_i32(VecD lo, VecD /*hi*/) {
-  return {static_cast<std::int32_t>(lo.v)};
-}
-
-/// Register form of trunc_store_i32 (widths match on this backend).
-inline VecI32 trunc_i32(VecD x) { return {static_cast<std::int32_t>(x.v)}; }
-
-/// Read one int32 lane at a runtime index (only lane 0 exists here).
-inline std::int32_t extract_lane_i32(VecI32 x, unsigned /*lane*/) { return x.v; }
 
 inline VecD sqrt(VecD a) { return {std::sqrt(a.v)}; }
 

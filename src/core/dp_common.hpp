@@ -104,28 +104,4 @@ inline std::uint64_t checksum_state_tables(std::size_t n_layers, std::size_t n_v
   return hasher.value();
 }
 
-/// Strided twin of checksum_state_tables for the lane-interleaved SoA tables
-/// of the batched solver (element index = state_index * stride + offset).
-/// The mix sequence is identical for identical lane contents, so a batch
-/// lane's checksum equals the standalone solve's checksum of the same state.
-inline std::uint64_t checksum_state_tables_strided(std::size_t n_layers, std::size_t n_v,
-                                                   std::size_t n_t, const float* cost,
-                                                   const float* time, const std::uint32_t* back,
-                                                   std::size_t stride, std::size_t offset) {
-  TableHasher hasher;
-  const std::size_t layer_size = n_v * n_t;
-  for (std::size_t layer = 0; layer < n_layers; ++layer) {
-    const std::size_t base = layer * layer_size;
-    for (std::size_t cell = 0; cell < layer_size; ++cell) {
-      const std::size_t id = (base + cell) * stride + offset;
-      if (cost[id] >= kDpInf) continue;
-      hasher.mix_u64((static_cast<std::uint64_t>(layer) << 32) | cell);
-      hasher.mix_f32(cost[id]);
-      hasher.mix_f32(time[id]);
-      hasher.mix_u64(back[id]);
-    }
-  }
-  return hasher.value();
-}
-
 }  // namespace evvo::core::detail

@@ -1,9 +1,6 @@
-// Solution extraction shared by the single-scenario DP engine and the
-// batched SoA engine (core/dp_batch.cpp). The destination scan, tie-break,
-// backtrack, stop-sign dwell materialization, and physical-energy annotation
-// are one template walked through table accessors, so the two engines cannot
-// drift: a batch lane extracting through its strided accessors performs the
-// exact float/double op sequence of a standalone solve over the same bits.
+// Solution extraction for the DP engine (core/dp_solver.cpp): the
+// destination scan, tie-break, backtrack, stop-sign dwell materialization,
+// and physical-energy annotation over the solved state tables.
 #pragma once
 
 #include <algorithm>
@@ -21,18 +18,15 @@
 
 namespace evvo::core::detail {
 
-/// `cost_at`/`time_at`/`back_at` map a flat state index
-/// (layer * n_v * n_t + j * n_t + k) to the lane's storage: the plain tables
-/// pass a direct read, the batch engine passes a lane-strided read. Time and
-/// backpointer cells are only ever dereferenced behind a finite cost, which
-/// keeps the lazy-reset data path (stale time/back behind +inf) sound here
-/// exactly as in the relaxation.
-template <typename CostAt, typename TimeAt, typename BackAt>
-std::optional<DpSolution> extract_dp_solution(
+/// `cost`/`time`/`back` are the state tables, indexed by flat state index
+/// (layer * n_v * n_t + j * n_t + k). Time and backpointer cells are only
+/// ever read behind a finite cost, which keeps the lazy-reset data path
+/// (stale time/back behind +inf) sound here exactly as in the relaxation.
+inline std::optional<DpSolution> extract_dp_solution(
     const road::Route& route, const ev::EnergyModel& energy,
     const std::vector<const LayerEvent*>& event_at, std::size_t n_events, double ds, double dv,
     std::size_t n_layers, std::size_t n_t, std::size_t layer_size, std::size_t j_dest,
-    DpStats stats, CostAt&& cost_at, TimeAt&& time_at, BackAt&& back_at) {
+    DpStats stats, const float* cost, const float* time, const std::uint32_t* back) {
   constexpr float kInf = kDpInf;
   const auto cell_of = [n_t](std::size_t j, std::size_t k) { return j * n_t + k; };
 
@@ -45,13 +39,13 @@ std::optional<DpSolution> extract_dp_solution(
   float best_time = 0.0f;
   for (std::size_t k = 0; k < n_t; ++k) {
     const std::size_t id = dest_base + k;
-    const float c = cost_at(id);
+    const float c = cost[id];
     if (c >= kInf) continue;
     if (best_k == n_t || c < best_cost - 1e-9f ||
-        (std::abs(c - best_cost) <= 1e-9f && time_at(id) < best_time)) {
+        (std::abs(c - best_cost) <= 1e-9f && time[id] < best_time)) {
       best_cost = c;
       best_k = k;
-      best_time = time_at(id);
+      best_time = time[id];
     }
   }
   if (best_k == n_t) return std::nullopt;
@@ -67,7 +61,7 @@ std::optional<DpSolution> extract_dp_solution(
   std::size_t ck = best_k;
   while (true) {
     chain.push_back(RawNode{ci, cj, ck});
-    const std::uint32_t p = back_at(ci * layer_size + cell_of(cj, ck));
+    const std::uint32_t p = back[ci * layer_size + cell_of(cj, ck)];
     if (p == kNoPred) break;
     const bool dwell = pred_is_dwell(p);
     const std::size_t pj = pred_j(p);
@@ -88,7 +82,7 @@ std::optional<DpSolution> extract_dp_solution(
     PlanNode node;
     node.position_m = static_cast<double>(r.i) * ds;
     node.speed_ms = static_cast<double>(r.j) * dv;
-    node.time_s = static_cast<double>(time_at(r.i * layer_size + cell_of(r.j, r.k)));
+    node.time_s = static_cast<double>(time[r.i * layer_size + cell_of(r.j, r.k)]);
     // Materialize the mandatory stop-sign dwell as an explicit node so the
     // time-domain expansion shows the standstill.
     if (n > 0 && !nodes.empty()) {

@@ -638,13 +638,9 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
 }
 
 std::optional<DpSolution> DpEngine::extract_solution() {
-  const float* cost = ws_.cost_.data();
-  const float* time = ws_.time_.data();
-  const std::uint32_t* back = ws_.back_.data();
-  return detail::extract_dp_solution(
-      route_, energy_, event_at_, problem_.events.size(), ds_, res_.dv_ms, n_layers_, n_t_,
-      layer_size_, j_dest_, stats_, [cost](std::size_t id) { return cost[id]; },
-      [time](std::size_t id) { return time[id]; }, [back](std::size_t id) { return back[id]; });
+  return detail::extract_dp_solution(route_, energy_, event_at_, problem_.events.size(), ds_,
+                                     res_.dv_ms, n_layers_, n_t_, layer_size_, j_dest_, stats_,
+                                     ws_.cost_.data(), ws_.time_.data(), ws_.back_.data());
 }
 
 }  // namespace detail

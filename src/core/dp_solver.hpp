@@ -80,7 +80,6 @@ namespace evvo::core {
 
 namespace detail {
 class DpEngine;
-class DpBatchEngine;
 }
 
 /// Grid resolutions of the time-expanded DP.
@@ -235,7 +234,6 @@ class DpWorkspace {
 
  private:
   friend class detail::DpEngine;
-  friend class detail::DpBatchEngine;
 
   struct FwdHop {
     std::uint32_t j_to = 0;
@@ -278,27 +276,7 @@ class DpWorkspace {
   std::vector<std::uint8_t> src_inside_;    ///< inside the signal window T_q
   std::vector<std::uint32_t> row_begin_;    ///< n_v + 1 offsets into the source list
 
-  // --- batched (SoA) solver storage: lane-interleaved state tables plus the
-  // union-frontier scratch of core/dp_batch.cpp. Kept alongside the
-  // single-scenario tables so a pooled workspace serves either entry point
-  // without reallocating; unused (and unsized) until the first batch solve.
-  struct BatchScratch {
-    detail::UninitBuffer<float> cost;           ///< [state * lanes + lane]
-    detail::UninitBuffer<float> time;
-    detail::UninitBuffer<std::uint32_t> back;
-    std::vector<std::uint32_t> src_pred;        ///< shared packed backpointer per entry
-    std::vector<float> src_cost;                ///< [entry * lanes + lane]
-    std::vector<float> src_time;
-    std::vector<std::uint32_t> src_kept;        ///< per-entry live-lane bitmask
-    std::vector<std::uint32_t> src_inside;      ///< per-entry inside-T_q lane bitmask
-    std::vector<std::uint32_t> row_begin;
-  };
-  BatchScratch batch_;
-
   /// Build (or reuse) the cached model tables for the given grid geometry.
-  /// Shared by the single-scenario engine and the batched SoA engine: both
-  /// must see the identical fused-cost bits for the identity contract to
-  /// hold, so there is exactly one builder.
   void ensure_model_tables(const road::Route& route, const ev::EnergyModel& energy,
                            const DpResolution& res, double lambda, double smoothness, double ds,
                            std::size_t n_hops, std::size_t n_layers, std::size_t n_v);

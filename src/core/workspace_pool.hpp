@@ -36,14 +36,6 @@ class WorkspacePool {
   /// tag (LIFO keeps caches hot), else a fresh one. Never blocks on a solve.
   std::unique_ptr<Entry> acquire(std::uint64_t affinity) EVVO_EXCLUDES(free_mutex_);
 
-  /// Batch checkout: `n` entries in one pool-lock acquisition (the batched
-  /// solver checks out one workspace per compatibility group). Affinity
-  /// matches are taken first (most recently released first), then LIFO, then
-  /// fresh entries constructed outside the lock - the same preference order
-  /// as n calls to acquire(), without n lock round-trips.
-  std::vector<std::unique_ptr<Entry>> acquire_many(std::uint64_t affinity, std::size_t n)
-      EVVO_EXCLUDES(free_mutex_);
-
   /// Returns an entry to the pool. The caller sets entry->affinity to the
   /// tag of the solve it just ran before releasing.
   void release(std::unique_ptr<Entry> entry) EVVO_EXCLUDES(free_mutex_);

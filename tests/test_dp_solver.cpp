@@ -9,9 +9,12 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "common/simd.hpp"
 #include "common/telemetry.hpp"
+#include "core/dp_batch.hpp"
 #include "core/planner.hpp"
 #include "ev/energy_model.hpp"
 #include "road/corridor.hpp"
@@ -209,6 +212,47 @@ TEST(DpSolver, UnavailableKernelIsRejected) {
                    std::invalid_argument);
     }
   }
+}
+
+TEST(DpSolver, SolveDpBatchIsStandaloneSolvesInInputOrder) {
+  // solve_dp_batch runs solve_dp on each problem through one pooled
+  // workspace: every result, the infeasible one included, must be the
+  // standalone solve of the same problem, and a throwing solve must still
+  // hand the workspace back to the pool.
+  const road::Route short_route = flat_route(500.0);
+  const road::Route long_route = flat_route(2000.0);
+  const road::Route signal_route = flat_route(1000.0);
+  const ev::EnergyModel energy;
+  std::vector<DpProblem> problems = {base_problem(short_route, energy),
+                                     base_problem(long_route, energy),
+                                     base_problem(signal_route, energy)};
+  problems[0].checksum_tables = true;
+  problems[1].resolution.horizon_s = 40.0;  // 2 km needs > 100 s at the limit
+  LayerEvent signal;
+  signal.layer = 50;  // 500 m
+  signal.enforce_windows = true;
+  signal.windows = {{60.0, 75.0}, {120.0, 135.0}};
+  problems[2].events = {signal};
+
+  WorkspacePool pool;
+  const std::vector<std::optional<DpSolution>> batch = solve_dp_batch(problems, pool);
+  ASSERT_EQ(batch.size(), problems.size());
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    const std::optional<DpSolution> alone = solve_dp(problems[i]);
+    ASSERT_EQ(batch[i].has_value(), alone.has_value()) << "problem " << i;
+    if (!alone) continue;
+    EXPECT_TRUE(same_stats(batch[i]->stats, alone->stats)) << "problem " << i;
+    EXPECT_TRUE(profiles_bit_identical(batch[i]->profile, alone->profile)) << "problem " << i;
+  }
+  EXPECT_FALSE(batch[1].has_value());
+  EXPECT_NE(batch[0]->stats.table_checksum, 0u);
+
+  const std::size_t idle = pool.idle_count();
+  DpProblem invalid = problems[0];
+  invalid.resolution.ds_m = 0.0;
+  const std::vector<DpProblem> throwing = {problems[0], invalid};
+  EXPECT_THROW((void)solve_dp_batch(throwing, pool), std::invalid_argument);
+  EXPECT_EQ(pool.idle_count(), idle);
 }
 
 TEST(DpSolver, FlatUnconstrainedTripIsFeasibleAndClean) {

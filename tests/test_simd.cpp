@@ -106,46 +106,6 @@ TEST(SimdTrunc, TruncStoreMatchesCast) {
     EXPECT_EQ(out[i], static_cast<std::int32_t>(in[i])) << "lane " << i;
 }
 
-TEST(SimdTrunc, TruncI32MatchesCastOnLowLanes) {
-  std::vector<double> in(WD);
-  for (std::size_t i = 0; i < WD; ++i) in[i] = -3.9 + 5.5 * static_cast<double>(i);
-  std::vector<std::int32_t> out(VecI32::kWidth, -1);
-  trunc_i32(VecD::load(in.data())).store(out.data());
-  for (std::size_t i = 0; i < WD; ++i)
-    EXPECT_EQ(out[i], static_cast<std::int32_t>(in[i])) << "lane " << i;
-}
-
-TEST(SimdTrunc, TruncConcatFillsBothHalves) {
-  // Kernels consume trunc_concat_i32 only when VecI32::kWidth == 2 * WD (the
-  // width-1 backend defines it just so generic code compiles, with only the
-  // truncated lo lane meaningful), so test each contract on its own backend.
-  if constexpr (VecI32::kWidth == 2 * WD) {
-    std::vector<double> lo(WD), hi(WD);
-    for (std::size_t i = 0; i < WD; ++i) {
-      lo[i] = 7.75 - 3.25 * static_cast<double>(i);
-      hi[i] = -100.5 + 41.0 * static_cast<double>(i);
-    }
-    std::vector<std::int32_t> out(VecI32::kWidth, 0);
-    trunc_concat_i32(VecD::load(lo.data()), VecD::load(hi.data())).store(out.data());
-    for (std::size_t i = 0; i < WD; ++i) {
-      EXPECT_EQ(out[i], static_cast<std::int32_t>(lo[i])) << "lo lane " << i;
-      EXPECT_EQ(out[WD + i], static_cast<std::int32_t>(hi[i])) << "hi lane " << i;
-    }
-  } else {
-    const VecI32 got = trunc_concat_i32(VecD::broadcast(-2.9), VecD::broadcast(99.0));
-    EXPECT_EQ(extract_lane_i32(got, 0), -2);
-  }
-}
-
-TEST(SimdExtractLane, ReadsEveryRuntimeIndex) {
-  std::vector<std::int32_t> in(VecI32::kWidth);
-  for (std::size_t i = 0; i < VecI32::kWidth; ++i)
-    in[i] = static_cast<std::int32_t>(1000 * (i + 1)) - 17;
-  const VecI32 v = VecI32::load(in.data());
-  for (unsigned lane = 0; lane < VecI32::kWidth; ++lane)
-    EXPECT_EQ(extract_lane_i32(v, lane), in[lane]) << "lane " << lane;
-}
-
 TEST(SimdHsum, AscendingLaneOrder) {
   std::vector<double> in(WD);
   for (std::size_t i = 0; i < WD; ++i) in[i] = 0.1 * static_cast<double>(i + 1);

@@ -68,62 +68,5 @@ TEST(WorkspacePool, TiesGoToTheMostRecentlyReleasedMatch) {
   EXPECT_EQ(warm.get(), b_ptr);
 }
 
-TEST(WorkspacePool, AcquireManyOnEmptyPoolMintsFresh) {
-  WorkspacePool pool;
-  auto entries = pool.acquire_many(42, 3);
-  ASSERT_EQ(entries.size(), 3u);
-  for (const auto& e : entries) {
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->affinity, 0u);  // never used
-  }
-  for (auto& e : entries) pool.release(std::move(e));
-  EXPECT_EQ(pool.idle_count(), 3u);
-}
-
-TEST(WorkspacePool, AcquireManyTakesAffinityMatchesBeforeLifo) {
-  WorkspacePool pool;
-  auto a = pool.acquire(0);
-  auto b = pool.acquire(0);
-  auto c = pool.acquire(0);
-  WorkspacePool::Entry* const a_ptr = a.get();
-  WorkspacePool::Entry* const b_ptr = b.get();
-  WorkspacePool::Entry* const c_ptr = c.get();
-  a->affinity = 111;
-  b->affinity = 222;
-  c->affinity = 111;
-  pool.release(std::move(a));
-  pool.release(std::move(b));
-  pool.release(std::move(c));  // free list front-to-back: a, b, c
-
-  // Same preference order as n acquire() calls: every idle corridor-111
-  // entry first (most recently released first), then LIFO for the rest,
-  // then fresh entries to fill the request.
-  auto entries = pool.acquire_many(111, 4);
-  ASSERT_EQ(entries.size(), 4u);
-  EXPECT_EQ(entries[0].get(), c_ptr);  // newest 111 match
-  EXPECT_EQ(entries[1].get(), a_ptr);  // older 111 match
-  EXPECT_EQ(entries[2].get(), b_ptr);  // LIFO remainder
-  ASSERT_NE(entries[3], nullptr);      // minted to fill
-  EXPECT_EQ(entries[3]->affinity, 0u);
-  EXPECT_EQ(pool.idle_count(), 0u);
-}
-
-TEST(WorkspacePool, AcquireManyStopsAtRequestedCount) {
-  WorkspacePool pool;
-  auto a = pool.acquire(0);
-  auto b = pool.acquire(0);
-  WorkspacePool::Entry* const b_ptr = b.get();
-  a->affinity = 111;
-  b->affinity = 111;
-  pool.release(std::move(a));
-  pool.release(std::move(b));
-
-  // Only one entry wanted: the most recent match, leaving the other idle.
-  auto entries = pool.acquire_many(111, 1);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].get(), b_ptr);
-  EXPECT_EQ(pool.idle_count(), 1u);
-}
-
 }  // namespace
 }  // namespace evvo::core

@@ -2,13 +2,16 @@
 //
 // Compares a candidate run against a committed baseline (BENCH_dp.json) and
 // exits nonzero when any benchmark present in both regresses by more than
-// --max-regress (default 10%). Used by the CI bench-gate job:
+// --max-regress (default 10%), or when the candidate lacks a baseline entry
+// (a deleted or renamed benchmark would otherwise stop being gated without
+// a word). Used by the CI bench-gate job:
 //
 //   bench_perf --benchmark_format=json --benchmark_out=cand.json ...
 //   bench_compare --baseline BENCH_dp.json --candidate cand.json --max-regress 0.10
 //
 // --filter SUBSTRING gates only the matching benchmarks; a filter that
-// matches no baseline entry is a config error, never a vacuous pass.
+// matches no baseline entry is a config error, never a vacuous pass. Only
+// baseline entries inside the filter must appear in the candidate.
 //
 // Exit codes: 0 = within budget, 1 = regression, 2 = usage/parse/config error.
 //
@@ -331,11 +334,15 @@ int run_compare(const BenchReport& baseline, const BenchReport& candidate,
   std::size_t compared = 0;
   std::size_t regressions = 0;
   std::size_t filtered_baseline = 0;
+  std::string missing;  ///< baseline entries the candidate lacks, comma-separated
   for (const auto& [name, base] : baseline.entries) {
     if (!opt.filter.empty() && name.find(opt.filter) == std::string::npos) continue;
     ++filtered_baseline;
     const auto it = candidate.entries.find(name);
-    if (it == candidate.entries.end()) continue;  // candidate ran a subset
+    if (it == candidate.entries.end()) {
+      missing += (missing.empty() ? "" : ", ") + name;
+      continue;
+    }
     if (base.is_count != it->second.is_count) {
       std::fprintf(stderr,
                    "bench_compare: %s is unit class \"%s\" in the baseline but \"%s\" in the "
@@ -363,6 +370,13 @@ int run_compare(const BenchReport& baseline, const BenchReport& candidate,
     ++fresh;
     std::printf("%-48s %12s -> %12.1f %-5s NEW (no baseline)\n", name.c_str(), "-",
                 cand.time_ns, cand.is_count ? "count" : "ns");
+  }
+  // Every gated baseline entry must have run: a missing one is a gate that
+  // silently stopped gating. Drop it from the baseline in the same change.
+  if (!missing.empty()) {
+    std::fprintf(stderr, "bench_compare: baseline entries missing from the candidate: %s\n",
+                 missing.c_str());
+    return 2;
   }
   // A filter names the benchmarks a gate is for: when the baseline holds
   // none of them the gate would compare nothing and pass, so it is an error.
@@ -476,10 +490,20 @@ int self_test() {
   expect(run_compare(*base, *grown_slow_report, opt) == 1,
          "new benchmark does not mask a regression");
 
-  // An all-new candidate (first run after adding benchmarks to the filter)
-  // passes with the additions reported; nothing exists to gate yet.
+  // A baseline entry the candidate lacks is refused, even when the candidate
+  // brings new entries; under --filter only the entries inside it count.
   const auto other = parse(report_json("release", "BM_Y/1", 100.0, "ns"), "cpu_time");
-  expect(run_compare(*base, *other, opt) == 0, "all-new candidate passes, reported as new");
+  expect(run_compare(*base, *other, opt) == 2, "candidate missing a baseline entry refused");
+  const std::string two = R"({"context": {"evvo_build": "release"}, "benchmarks": [
+    {"name": "BM_X/10", "run_type": "iteration", "cpu_time": 100.0, "time_unit": "ns"},
+    {"name": "BM_Z/1", "run_type": "iteration", "cpu_time": 50.0, "time_unit": "ns"}]})";
+  const auto two_report = parse(two, "cpu_time");
+  expect(run_compare(*two_report, *same, opt) == 2,
+         "baseline entry missing from the candidate refused");
+  CompareOptions only_x = opt;
+  only_x.filter = "BM_X";
+  expect(run_compare(*two_report, *same, only_x) == 0,
+         "baseline entry outside --filter may be missing");
 
   // A filter that matches no baseline entry gates nothing: refused, even
   // when the candidate has matching (new) entries.

@@ -11,7 +11,6 @@
 //   evvo_fuzz --inject window-shift     # prove the harness catches a fault
 //   evvo_fuzz --replay-spec bad.spec    # re-check a shrunk spec file
 //   evvo_fuzz --simd-only --count 100   # cheap every-kernel identity sweep
-//   evvo_fuzz --batch --count 100       # batched-vs-standalone solve identity
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "check/batch_identity.hpp"
 #include "check/invariants.hpp"
 #include "check/scenario.hpp"
 #include "check/shrink.hpp"
@@ -40,7 +38,6 @@ struct Options {
   bool replay = true;
   bool reference = true;
   bool simd_only = false;  ///< strip everything but the kernel-identity oracle
-  bool batch = false;      ///< run batched-vs-standalone solve identity instead
   std::string inject = "none";
   std::string replay_spec;  // path: check this spec instead of generating
   std::string spec_out;     // path: write the (shrunk) failing spec here
@@ -51,7 +48,7 @@ int usage(const char* argv0) {
                "usage: %s [--count N] [--seed N] [--seed-start N] [--jobs N]\n"
                "          [--inject none|window-shift|accel-tamper|energy-tamper|cost-tamper]\n"
                "          [--replay-spec FILE] [--spec-out FILE] [--no-shrink] [--no-replay]\n"
-               "          [--no-reference] [--simd-only] [--batch]\n",
+               "          [--no-reference] [--simd-only]\n",
                argv0);
   return 2;
 }
@@ -96,8 +93,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.reference = false;
     } else if (arg == "--simd-only") {
       opt.simd_only = true;
-    } else if (arg == "--batch") {
-      opt.batch = true;
     } else {
       return false;
     }
@@ -118,49 +113,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return usage(argv[0]);
   }
-  // --batch: batched-vs-standalone solve identity, the SoA multi-scenario
-  // kernel's oracle (src/check/batch_identity.hpp). Any --inject value maps
-  // to the check's tamper self-test.
-  if (opt.batch) {
-    evvo::check::BatchIdentityOptions batch_opt;
-    batch_opt.tamper = check.inject != evvo::check::Fault::kNone;
-    if (opt.single_seed) {
-      const evvo::check::BatchIdentityReport report =
-          evvo::check::check_batch_identity(*opt.single_seed, batch_opt);
-      std::printf("%s", evvo::check::batch_report_to_string(report).c_str());
-      return report.ok() ? 0 : 1;
-    }
-    const unsigned batch_jobs =
-        std::max(1u, opt.jobs ? opt.jobs : evvo::common::ThreadPool::resolve_threads(0) / 2);
-    evvo::common::ThreadPool job_pool(batch_jobs);
-    std::atomic<std::size_t> batch_failures{0};
-    std::atomic<std::size_t> lanes{0}, batched{0}, fallback{0}, infeasible_lanes{0};
-    std::mutex batch_io;
-    const std::uint64_t t0 = evvo::common::now_ns();
-    job_pool.parallel_for(opt.count, [&](std::size_t index) {
-      const std::uint64_t seed = opt.seed_start + index;
-      const evvo::check::BatchIdentityReport report =
-          evvo::check::check_batch_identity(seed, batch_opt);
-      lanes.fetch_add(report.lanes, std::memory_order_relaxed);
-      batched.fetch_add(report.batched_lanes, std::memory_order_relaxed);
-      fallback.fetch_add(report.fallback_lanes, std::memory_order_relaxed);
-      infeasible_lanes.fetch_add(report.infeasible_lanes, std::memory_order_relaxed);
-      if (report.ok()) return;
-      batch_failures.fetch_add(1, std::memory_order_relaxed);
-      const std::lock_guard<std::mutex> lock(batch_io);
-      std::fprintf(stderr, "%s", evvo::check::batch_report_to_string(report).c_str());
-      std::fprintf(stderr, "replay: evvo_fuzz --batch --seed %llu\n",
-                   static_cast<unsigned long long>(seed));
-    });
-    const double batch_s = evvo::common::seconds_between_ns(t0, evvo::common::now_ns());
-    std::printf(
-        "%zu batch(es) checked in %.1f s (%zu lanes: %zu batched / %zu fallback / "
-        "%zu infeasible), %zu violation(s)\n",
-        opt.count, batch_s, lanes.load(), batched.load(), fallback.load(),
-        infeasible_lanes.load(), batch_failures.load());
-    return batch_failures.load() == 0 ? 0 : 1;
-  }
-
   check.run_replay = opt.replay;
   check.run_reference = opt.reference;
   if (opt.simd_only) {
