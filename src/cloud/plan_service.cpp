@@ -27,6 +27,16 @@ int next_service_instance() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// Departure-phase bin width [s]: the DP's default time-bin width
+/// (DpResolution::dt_s), so the members of a bin, served one plan shifted in
+/// time, depart no further apart than the solver's own time resolution.
+constexpr double kPhaseBinS = 1.0;
+/// Arrival-rate bin width [veh/h]: about the SAE demand forecast's own error
+/// (RMSE 34-77 veh/h, EXPERIMENTS.md), so two rates that share a bin are
+/// closer than the forecast can tell apart; finer bins would only split the
+/// cache.
+constexpr double kDemandBinVehH = 50.0;
+
 }  // namespace
 
 double signal_hyperperiod(const std::vector<road::TrafficLight>& lights) {
@@ -53,9 +63,6 @@ PlanService::PlanService(core::VelocityPlanner planner,
   grid_ds_m_ = length / n_hops;
   if (cache_config_.capacity == 0) throw std::invalid_argument("PlanService: zero cache capacity");
   if (cache_config_.shards == 0) throw std::invalid_argument("PlanService: zero shards");
-  if (cache_config_.phase_quantum_s <= 0.0 || cache_config_.demand_quantum_veh_h <= 0.0)
-    throw std::invalid_argument("PlanService: quanta must be positive");
-  if (cache_config_.ttl_s < 0.0) throw std::invalid_argument("PlanService: negative TTL");
   if (planner_.config().policy == core::SignalPolicy::kQueueAware && !arrivals_)
     throw std::invalid_argument("PlanService: queue-aware planning needs arrival rates");
   shards_.reserve(cache_config_.shards);
@@ -69,8 +76,6 @@ PlanService::PlanService(core::VelocityPlanner planner,
     shard->flight_waits = &telemetry::counter(sp + "flight_waits");
     shard->solver_runs = &telemetry::counter(sp + "solver_runs");
     shard->evictions = &telemetry::counter(sp + "evictions");
-    shard->expirations = &telemetry::counter(sp + "expirations");
-    shard->rejections = &telemetry::counter(sp + "rejections");
     shard->queue_depth = &telemetry::gauge(sp + "queue_depth");
     shards_.push_back(std::move(shard));
   }
@@ -89,11 +94,9 @@ ServiceStats PlanService::Shard::snapshot() const {
   out.coalesced_hits = coalesced_hits->value();
   out.solver_runs = solver_runs->value();
   out.evictions = evictions->value();
-  out.expirations = expirations->value();
-  out.rejections = rejections->value();
   out.queue_depth = queue_depth->value();
   // Derived, never counted: exact under concurrent readers by construction.
-  out.requests = out.cache_hits + out.solver_runs + out.rejections;
+  out.requests = out.cache_hits + out.solver_runs;
   return out;
 }
 
@@ -115,8 +118,7 @@ PlanService::CacheKey PlanService::key_for(Seconds depart_time) const {
   // rejected it inside the solve.
   if (!(std::isfinite(demand) && demand >= 0.0))
     throw std::invalid_argument("PlanService: arrival rate must be finite and non-negative");
-  return CacheKey{std::lround(phase / cache_config_.phase_quantum_s),
-                  std::lround(demand / cache_config_.demand_quantum_veh_h)};
+  return CacheKey{std::lround(phase / kPhaseBinS), std::lround(demand / kDemandBinVehH)};
 }
 
 PlanService::CacheKey PlanService::replan_key_for(const ReplanRequest& request) const {
@@ -194,32 +196,16 @@ PlanService::ServeState PlanService::begin_serve(const CacheKey& key, int vehicl
   common::MutexLock lock(shard.shard_mutex);
   const auto it = shard.cache.find(key);
   if (it != shard.cache.end()) {
-    const double age = request_time_s - it->second.reference_time;
-    if (cache_config_.ttl_s > 0.0 && age > cache_config_.ttl_s) {
-      // Logical-time TTL: the cached demand snapshot is too old to trust,
-      // so this request re-solves and becomes the bin's fresh reference.
-      shard.lru.erase(it->second.lru_pos);
-      shard.cache.erase(it);
-      shard.expirations->add(1);
-      EVVO_LOG(kDebug, "plan-service") << "expired phase bin " << key.phase_bin;
-    } else {
-      shard.cache_hits->add(1);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-      state.hit = PlanTicket{vehicle_id, it->second.profile, age, true};
-      return state;
-    }
+    shard.cache_hits->add(1);
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+    state.hit = PlanTicket{vehicle_id, it->second.profile,
+                           request_time_s - it->second.reference_time, true};
+    return state;
   }
   const auto fit = shard.in_flight.find(key);
   if (fit != shard.in_flight.end()) {
     state.flight = fit->second;
     return state;
-  }
-  if (cache_config_.max_pending_per_shard != 0 &&
-      shard.in_flight.size() >= cache_config_.max_pending_per_shard) {
-    // Admission control: only would-be leaders are shed. Hits and
-    // followers cost no solver time and are always served.
-    shard.rejections->add(1);
-    throw ServiceOverload("PlanService: shard at max_pending_per_shard, request shed");
   }
   state.flight = std::make_shared<InFlight>();
   shard.in_flight.emplace(key, state.flight);
@@ -357,12 +343,12 @@ std::vector<PlanTicket> PlanService::serve_batch(std::span<const Request> reques
     since_entry.record(*ticket_latency_ns_);
   };
 
-  // Phase A - admission: every group's lead goes through the cache/TTL/
-  // single-flight/admission-control step first, so the call's misses are
-  // known before any solving starts. Hits are served here; elected leaders
-  // and followers of other calls' flights wait in `pending`. A shed lead
-  // (ServiceOverload) fails only its own group; the rest of the call is
-  // still served and the first error is rethrown at the end.
+  // Phase A - admission: every group's lead goes through the cache/
+  // single-flight step first, so the call's misses are known before any
+  // solving starts. Hits are served here; elected leaders and followers of
+  // other calls' flights wait in `pending`. A lead whose step throws (out of
+  // memory) fails only its own group; the rest of the call is still served
+  // and the first error is rethrown at the end.
   struct Pending {
     const Group* group;
     ServeState state;
@@ -465,8 +451,6 @@ ServiceStats PlanService::stats() const {
     total.coalesced_hits += s.coalesced_hits;
     total.solver_runs += s.solver_runs;
     total.evictions += s.evictions;
-    total.expirations += s.expirations;
-    total.rejections += s.rejections;
     total.queue_depth += s.queue_depth;
   }
   return total;

@@ -20,12 +20,16 @@
 // and run VelocityPlanner::replan, a cold DP solve over a pooled workspace.
 //
 // Sharding: the cache is partitioned into CacheConfig::shards independent
-// shards, each with its own mutex, bounded LRU+TTL cache, in-flight table,
-// and statistics. A request's cache identity - (corridor hash, phase bin,
+// shards, each with its own mutex, bounded LRU cache, in-flight table, and
+// statistics. A request's cache identity - (corridor hash, phase bin,
 // demand bin, layer, vlevel) - routes to its shard through the stable
 // integer mix in cloud/shard.hpp, so the same identity always lands on the
 // same shard and single-flight dedup stays global. shards = 1 reproduces the
 // original single-mutex layout exactly.
+//
+// Every validated request is served: from the cache, from a coalesced
+// in-flight solve, or by a solve of its own. Cached plans are served at any
+// age; the LRU bound is the only eviction.
 //
 // Concurrency: misses are deduplicated per key with a single-flight
 // protocol. The first requester of a key becomes its leader and runs the
@@ -36,11 +40,10 @@
 // solve. Statistics are per-shard registry-backed telemetry counters
 // (common/telemetry.hpp, names "plan_service.<instance>.shard<i>.*");
 // stats() aggregates relaxed reads without stopping the service. `requests`
-// is not tracked separately: it is derived as
-// cache_hits + solver_runs + rejections, so that identity holds at every
-// instant — under concurrent readers, not just at quiescence. A request
-// between arrival and outcome is counted nowhere yet (its in-flight window
-// is visible on the queue_depth gauge instead).
+// is not tracked separately: it is derived as cache_hits + solver_runs, so
+// that identity holds at every instant — under concurrent readers, not just
+// at quiescence. A request between arrival and outcome is counted nowhere
+// yet (its in-flight window is visible on the queue_depth gauge instead).
 //
 // Serving is zero-copy: the cache stores immutable reference profiles behind
 // shared_ptr, and both entry points return tickets, {reference, time shift},
@@ -55,7 +58,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "cloud/shard.hpp"
@@ -68,9 +70,7 @@
 namespace evvo::cloud {
 
 struct CacheConfig {
-  std::size_t capacity = 256;        ///< cached plans per shard (LRU eviction)
-  double phase_quantum_s = 1.0;      ///< departure-phase bin width
-  double demand_quantum_veh_h = 50.0;///< arrival-rate bin width
+  std::size_t capacity = 256;  ///< cached plans per shard (LRU eviction)
   /// Unused: no code reads it. Declared only because the fleet benchmark's
   /// scenario setup still assigns it; it goes with that benchmark's next
   /// change.
@@ -78,15 +78,6 @@ struct CacheConfig {
   /// Cache shards (independent mutex + LRU + in-flight table each). 1 keeps
   /// the original single-mutex layout; fleet serving uses 8+.
   unsigned shards = 1;
-  /// Logical-time TTL [s]: a hit whose request time is more than ttl_s past
-  /// the entry's reference time is expired (re-solved) instead of served.
-  /// Logical, not wall-clock, time keeps replays deterministic. 0 = no TTL.
-  double ttl_s = 0.0;
-  /// Admission control: a miss that would start a solve on a shard already
-  /// running this many in-flight solves is rejected with ServiceOverload.
-  /// Followers joining an existing flight and cache hits are never rejected.
-  /// 0 = unbounded.
-  std::size_t max_pending_per_shard = 0;
 };
 
 struct PlanRequest {
@@ -117,8 +108,8 @@ struct [[nodiscard]] PlanTicket {
 
 struct [[nodiscard]] ServiceStats {
   /// Full-trip and replan requests combined. Derived, not counted:
-  /// requests == cache_hits + solver_runs + rejections by construction, at
-  /// every instant (see the header comment).
+  /// requests == cache_hits + solver_runs by construction, at every instant
+  /// (see the header comment).
   long requests = 0;
   long replans = 0;         ///< subset of requests that were replans
   long cache_hits = 0;      ///< served from cache or a coalesced in-flight solve
@@ -126,17 +117,11 @@ struct [[nodiscard]] ServiceStats {
                             ///< grouped onto) a leader's solve
   long solver_runs = 0;
   long evictions = 0;       ///< LRU capacity evictions
-  long expirations = 0;     ///< TTL expiries (count as misses, not evictions)
-  long rejections = 0;      ///< admission-control rejections (ServiceOverload)
   long queue_depth = 0;     ///< in-flight solves at snapshot time (gauge)
-};
-
-/// Thrown by the request APIs when admission control turns a miss away
-/// (CacheConfig::max_pending_per_shard). The request was counted but no
-/// solve was started; the caller sheds or retries it.
-class ServiceOverload : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
+  /// Always 0: the service turns no request away. Declared only because the
+  /// fleet benchmark still reads it; it goes with that benchmark's next
+  /// change.
+  long rejections = 0;
 };
 
 class PlanService {
@@ -165,8 +150,8 @@ class PlanService {
   /// Throws std::invalid_argument, before any lookup or counter, when a
   /// request has a non-finite departure time or the arrival-rate provider
   /// answers with a NaN, infinite or negative rate: one bad request rejects
-  /// the whole span. Throws ServiceOverload (or a solve's error) after
-  /// serving every group it could; the first such error is rethrown.
+  /// the whole span. A failed solve fails only its own group: the call
+  /// serves every other group, then rethrows the first such error.
   std::vector<PlanTicket> request_plan_tickets(std::span<const PlanRequest> requests);
 
   /// Serves a span of mid-route replans, the rolling-horizon path: the
@@ -235,15 +220,15 @@ class PlanService {
     double reference_time EVVO_GUARDED_BY(flight_mutex) = 0.0;
     std::exception_ptr error EVVO_GUARDED_BY(flight_mutex);
   };
-  /// One cache shard: its own lock, LRU+TTL cache, in-flight table, and
+  /// One cache shard: its own lock, LRU cache, in-flight table, and
   /// statistics. Counters are registry-backed (common/telemetry.hpp,
   /// registered by the service constructor under
   /// "plan_service.<instance>.shard<i>."), so followers and the batch
   /// grouping path account lock-free, stats() reads without stopping
   /// traffic, and the same numbers surface in telemetry::snapshot().
   /// `requests` has no counter: snapshot() derives it as
-  /// cache_hits + solver_runs + rejections, making the stats() identity
-  /// exact under concurrent readers.
+  /// cache_hits + solver_runs, making the stats() identity exact under
+  /// concurrent readers.
   struct Shard {
     mutable common::Mutex shard_mutex{common::LockRank::kPlanShard};
     std::map<CacheKey, CacheEntry> cache EVVO_GUARDED_BY(shard_mutex);
@@ -259,8 +244,6 @@ class PlanService {
     telemetry::Counter* flight_waits = nullptr;
     telemetry::Counter* solver_runs = nullptr;
     telemetry::Counter* evictions = nullptr;
-    telemetry::Counter* expirations = nullptr;
-    telemetry::Counter* rejections = nullptr;
     telemetry::Gauge* queue_depth = nullptr;
 
     ServiceStats snapshot() const;
@@ -279,9 +262,8 @@ class PlanService {
     bool leader = false;
     std::optional<PlanTicket> hit;
   };
-  /// The lookup/registration step: cache probe (with TTL), flight join,
-  /// admission control (throws ServiceOverload), or leader election (counts
-  /// solver_runs/queue_depth at takeoff).
+  /// The lookup/registration step: cache probe, flight join, or leader
+  /// election (counts solver_runs/queue_depth at takeoff).
   ServeState begin_serve(const CacheKey& key, int vehicle_id, Seconds request_time);
   /// Leader epilogue: publishes `profile` to the cache, retires the flight,
   /// wakes followers, and returns the leader's ticket.

@@ -178,48 +178,6 @@ std::string to_json(const Snapshot& snap) {
   return out.str();
 }
 
-namespace {
-
-/// Prometheus metric name: [a-zA-Z0-9_] with an evvo_ prefix; every other
-/// character becomes '_'.
-std::string prom_name(const std::string& name) {
-  std::string out = "evvo_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9');
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string to_prometheus(const Snapshot& snap) {
-  std::ostringstream out;
-  for (const auto& c : snap.counters) {
-    const std::string name = prom_name(c.name);
-    out << "# TYPE " << name << " counter\n" << name << " " << c.value << "\n";
-  }
-  for (const auto& g : snap.gauges) {
-    const std::string name = prom_name(g.name);
-    out << "# TYPE " << name << " gauge\n" << name << " " << g.value << "\n";
-  }
-  for (const auto& h : snap.histograms) {
-    const std::string name = prom_name(h.name);
-    out << "# TYPE " << name << " histogram\n";
-    std::uint64_t cum = 0;
-    for (const auto& [idx, n] : h.buckets) {
-      cum += n;
-      // Upper bound of the bucket = lower bound of the next one.
-      out << name << "_bucket{le=\"" << Histogram::bucket_lower(idx) + Histogram::bucket_width(idx)
-          << "\"} " << cum << "\n";
-    }
-    out << name << "_bucket{le=\"+Inf\"} " << h.count << "\n"
-        << name << "_sum " << h.sum << "\n"
-        << name << "_count " << h.count << "\n";
-  }
-  return out.str();
-}
-
 // --- Trace spans ----------------------------------------------------------
 
 #if EVVO_TELEMETRY_ENABLED

@@ -1,5 +1,5 @@
 // Process-wide metrics registry: lock-free counters/gauges, log-linear
-// latency histograms, and RAII trace spans, with JSON / Prometheus export.
+// latency histograms, and RAII trace spans, with JSON export.
 //
 // Design (DESIGN.md section 14 has the full treatment):
 //
@@ -239,10 +239,6 @@ Snapshot snapshot();
 /// {...}, "histograms": {...}}). tools/evvo_stat pretty-prints and diffs
 /// this format; evvo_load --telemetry-dump writes it.
 std::string to_json(const Snapshot& snap);
-
-/// Prometheus text exposition format (names mangled to [a-z0-9_], "evvo_"
-/// prefixed; histograms as cumulative _bucket{le=...} series).
-std::string to_prometheus(const Snapshot& snap);
 
 // --- Trace spans ----------------------------------------------------------
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/simd.hpp"
 #include "common/units.hpp"
 #include "sim/idm.hpp"
 #include "sim/krauss.hpp"
@@ -144,116 +143,7 @@ void Microsim::apply_regulatory_stops(SimVehicle& v, double& bound, double& desi
   }
 }
 
-void Microsim::FollowerSoa::resize(std::size_t n) {
-  speed.resize(n);
-  accel.resize(n);
-  decel.resize(n);
-  tau.resize(n);
-  desired.resize(n);
-  gap.resize(n);
-  lead_speed.resize(n);
-  bound.resize(n);
-}
-
-/// Krauss-config speed update, restructured into staged passes so the two
-/// pure-arithmetic stages run vector lanes over SoA arrays:
-///   1. scalar gather of per-vehicle state (AoS -> SoA),
-///   2. vector safe-speed bound (krauss_safe_speed lane-wise),
-///   3. scalar regulatory pass (signals/stop signs; mutates ego state in
-///      ascending order exactly as the fused loop did),
-///   4. vector following speed (krauss_following_speed lane-wise),
-///   5. scalar dawdle pass (preserves the RNG draw order: one uniform() per
-///      moving non-ego, ascending index).
-/// Every lane op replicates the scalar functions' operation sequence (and
-/// the tails call the scalar functions themselves), so next_speeds_ is
-/// bit-identical to the original per-vehicle loop on every backend.
-void Microsim::update_speeds_krauss() {
-  namespace sd = common::simd;
-  constexpr std::size_t W = sd::VecD::kWidth;
-  const std::size_t n = vehicles_.size();
-  soa_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const SimVehicle& v = vehicles_[i];
-    // The scalar loop throws from krauss_safe_speed for any follower with a
-    // non-positive decel before using it; keep that contract.
-    if (i > 0 && v.driver.decel_ms2 <= 0.0)
-      throw std::invalid_argument("krauss_safe_speed: decel must be positive");
-    soa_.speed[i] = v.speed_ms;
-    soa_.accel[i] = v.driver.accel_ms2;
-    soa_.decel[i] = v.driver.decel_ms2;
-    soa_.tau[i] = v.driver.reaction_time_s;
-    soa_.desired[i] = desired_speed(v);
-    soa_.gap[i] =
-        i > 0 ? vehicles_[i - 1].rear_position() - v.position_m - v.driver.min_gap_m : 0.0;
-    soa_.lead_speed[i] = i > 0 ? vehicles_[i - 1].speed_ms : 0.0;
-  }
-
-  // Pass 2: bound[i] = krauss_safe_speed(gap, lead_speed, decel, tau).
-  // Lanes with gap <= 0 may take sqrt of a negative radicand; the NaN is
-  // discarded by the same select that implements the early `return 0`.
-  const sd::VecD zero = sd::VecD::broadcast(0.0);
-  const sd::VecD two = sd::VecD::broadcast(2.0);
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) {
-    const sd::VecD g = sd::VecD::load(soa_.gap.data() + i);
-    const sd::VecD ls = sd::VecD::load(soa_.lead_speed.data() + i);
-    const sd::VecD b = sd::VecD::load(soa_.decel.data() + i);
-    const sd::VecD bt = b * sd::VecD::load(soa_.tau.data() + i);
-    const sd::VecD radicand = bt * bt + ls * ls + (two * b) * g;
-    const sd::VecD safe = sd::max_std(zero, (zero - bt) + sd::sqrt(radicand));
-    sd::select(sd::cmp_le(g, zero), zero, safe).store(soa_.bound.data() + i);
-  }
-  for (; i < n; ++i) {
-    soa_.bound[i] = i == 0 ? 1e9
-                           : krauss_safe_speed(soa_.gap[i], soa_.lead_speed[i], soa_.decel[i],
-                                               soa_.tau[i]);
-  }
-  if (n > 0) soa_.bound[0] = 1e9;  // the lead vehicle has no follower bound
-
-  // Pass 3: regulatory stops, scalar and in order (mutates ego stop-sign
-  // state and reads signal phases; identical to the fused loop's order).
-  for (std::size_t r = 0; r < n; ++r) {
-    apply_regulatory_stops(vehicles_[r], soa_.bound[r], soa_.desired[r]);
-  }
-
-  // Pass 4: next = krauss_following_speed(driver, speed, desired, bound, dt).
-  const sd::VecD vdt = sd::VecD::broadcast(config_.step_s);
-  i = 0;
-  for (; i + W <= n; i += W) {
-    const sd::VecD sp = sd::VecD::load(soa_.speed.data() + i);
-    const sd::VecD accelerated = sp + sd::VecD::load(soa_.accel.data() + i) * vdt;
-    const sd::VecD capped =
-        sd::min_std(sd::min_std(accelerated, sd::VecD::load(soa_.desired.data() + i)),
-                    sd::VecD::load(soa_.bound.data() + i));
-    const sd::VecD floor = sp - (two * sd::VecD::load(soa_.decel.data() + i)) * vdt;
-    sd::max_std(zero, sd::max_std(capped, floor)).store(next_speeds_.data() + i);
-  }
-  for (; i < n; ++i) {
-    next_speeds_[i] = krauss_following_speed(vehicles_[i].driver, soa_.speed[i], soa_.desired[i],
-                                             soa_.bound[i], config_.step_s);
-  }
-
-  // Pass 5: dawdling (background drivers only; the ego executes plans
-  // exactly). One RNG draw per moving non-ego, ascending index.
-  for (std::size_t r = 0; r < n; ++r) {
-    const SimVehicle& v = vehicles_[r];
-    const double next = next_speeds_[r];
-    if (!v.is_ego && v.driver.sigma > 0.0 && next > 0.0) {
-      next_speeds_[r] = std::max(
-          0.0, next - v.driver.sigma * v.driver.accel_ms2 * config_.step_s * rng_.uniform());
-    }
-  }
-}
-
 void Microsim::update_speeds() {
-  // The SoA Krauss kernel only pays for itself with real vector lanes; the
-  // scalar backend keeps the fused loop below (its else-branch is the
-  // original Krauss update, bit-identical to the SoA passes by construction).
-  if (config_.car_following == CarFollowing::kKrauss && common::simd::kHasSimd) {
-    next_speeds_.resize(vehicles_.size());  // every element is overwritten
-    update_speeds_krauss();
-    return;
-  }
   next_speeds_.assign(vehicles_.size(), 0.0);
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
     SimVehicle& v = vehicles_[i];

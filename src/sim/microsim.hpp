@@ -103,7 +103,6 @@ class Microsim {
   double safe_speed_bound(const SimVehicle& v, const SimVehicle* leader) const;
   void apply_regulatory_stops(SimVehicle& v, double& bound, double& desired);
   void update_speeds();
-  void update_speeds_krauss();
   void move_and_cull();
 
   road::Corridor corridor_;
@@ -112,16 +111,6 @@ class Microsim {
   Rng rng_;
   std::vector<SimVehicle> vehicles_;  ///< sorted by position, descending (leader first)
   std::vector<double> next_speeds_;
-  /// Staging SoA buffers for the vectorized Krauss update (update_speeds_krauss):
-  /// per-vehicle state is gathered here each step so the safe-speed and
-  /// following-speed kernels run vector lanes over contiguous arrays, while
-  /// vehicles_ stays AoS for the public API. Persistent to avoid per-step
-  /// allocation.
-  struct FollowerSoa {
-    std::vector<double> speed, accel, decel, tau, desired, gap, lead_speed, bound;
-    void resize(std::size_t n);
-  };
-  FollowerSoa soa_;
   double time_s_ = 0.0;
   double next_arrival_s_ = -1.0;
   int next_id_ = 0;

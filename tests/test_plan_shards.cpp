@@ -1,8 +1,8 @@
 // Corridor sharding of the PlanService: routing determinism (the shard of a
 // key is a pure value function, stable across processes and rebuilds),
-// LRU/TTL eviction order, admission-control rejection, and per-shard
-// statistics accounting. The timing-sensitive rejection test synchronizes on
-// the queue_depth gauge, not on sleeps.
+// LRU eviction order, serving every miss while another solve runs, and
+// per-shard statistics accounting. The timing-sensitive concurrent-miss test
+// synchronizes on the queue_depth gauge, not on sleeps.
 #include "cloud/plan_service.hpp"
 
 #include <gtest/gtest.h>
@@ -58,8 +58,6 @@ void expect_stats_eq(const ServiceStats& a, const ServiceStats& b) {
   EXPECT_EQ(a.coalesced_hits, b.coalesced_hits);
   EXPECT_EQ(a.solver_runs, b.solver_runs);
   EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.expirations, b.expirations);
-  EXPECT_EQ(a.rejections, b.rejections);
   EXPECT_EQ(a.queue_depth, b.queue_depth);
 }
 
@@ -158,9 +156,6 @@ TEST(ShardRouting, ReplanSlotsNeverCollideWithPlanSlots) {
 
 TEST(PlanShards, ValidatesShardConfig) {
   EXPECT_THROW(PlanService(make_planner(), demand(500.0), sharded(0)), std::invalid_argument);
-  CacheConfig negative_ttl;
-  negative_ttl.ttl_s = -1.0;
-  EXPECT_THROW(PlanService(make_planner(), demand(500.0), negative_ttl), std::invalid_argument);
 }
 
 // --- Eviction order ------------------------------------------------------
@@ -182,7 +177,7 @@ TEST(PlanShards, LruEvictsLeastRecentlyTouched) {
   EXPECT_FALSE(plan_one(service, {6, 85.0}).cache_hit);   // B was the victim
   stats = service.stats();
   EXPECT_EQ(stats.solver_runs, 4);
-  EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs + stats.rejections);
+  EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs);
 }
 
 TEST(PlanShards, CapacityIsPerShard) {
@@ -199,64 +194,39 @@ TEST(PlanShards, CapacityIsPerShard) {
   EXPECT_LE(service.stats().evictions, 0);
 }
 
-// --- TTL -----------------------------------------------------------------
+// --- Serving -------------------------------------------------------------
 
-TEST(PlanShards, TtlExpiresStaleEntries) {
-  CacheConfig cache;
-  cache.ttl_s = 30.0;  // shorter than the 60 s hyperperiod
-  PlanService service(make_planner(), demand(500.0), cache);
-  (void)plan_one(service, {0, 5.0});  // solve, reference time 5
-  // Phase-congruent but 60 s later: past the TTL, must re-solve.
-  const PlanTicket stale = plan_one(service, {1, 65.0});
-  EXPECT_FALSE(stale.cache_hit);
-  // 0.4 s into the refreshed entry's life: served.
-  const PlanTicket fresh = plan_one(service, {2, 65.4});
-  EXPECT_TRUE(fresh.cache_hit);
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.solver_runs, 2);
-  EXPECT_EQ(stats.expirations, 1);
-  EXPECT_EQ(stats.evictions, 0);  // TTL expiry is not an LRU eviction
-  EXPECT_EQ(stats.cache_hits, 1);
-  EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs + stats.rejections);
-}
-
-TEST(PlanShards, ZeroTtlNeverExpires) {
-  PlanService service(make_planner(), demand(500.0));  // ttl_s = 0 (off)
+TEST(PlanShards, CachedPlansServeAtAnyAge) {
+  PlanService service(make_planner(), demand(500.0));
   (void)plan_one(service, {0, 5.0});
   EXPECT_TRUE(plan_one(service, {1, 5.0 + 60.0 * 1000}).cache_hit);
-  EXPECT_EQ(service.stats().expirations, 0);
 }
 
-// --- Admission control ---------------------------------------------------
-
-TEST(PlanShards, AdmissionControlShedsNewLeadersOnly) {
+TEST(PlanShards, EveryMissIsServedWhileAnotherSolves) {
   CacheConfig cache;
   cache.shards = 1;
-  cache.max_pending_per_shard = 1;
   PlanService service(make_planner(), demand(500.0), cache);
 
-  // Occupy the shard's single solve slot with key A's leader...
-  std::thread leader([&] { (void)plan_one(service, {0, 5.0}); });
+  // Hold key A's leader in flight on the only shard...
+  std::jthread leader([&] { (void)plan_one(service, {0, 5.0}); });
   while (service.stats().queue_depth < 1) std::this_thread::yield();
 
-  // ...a distinct cold key now needs a second concurrent solve: shed.
-  EXPECT_THROW((void)plan_one(service, {1, 25.0}), ServiceOverload);
-  // A phase-congruent request for A itself coalesces (never rejected).
-  const PlanTicket follower = plan_one(service, {2, 65.0});
-  EXPECT_TRUE(follower.cache_hit);
+  // ...then one call brings a distinct cold key B on the same shard, which
+  // is solved beside A's flight, and a phase-congruent request for A, which
+  // coalesces onto that flight.
+  const std::vector<PlanRequest> call{{1, 25.0}, {2, 65.0}};
+  const std::vector<PlanTicket> tickets = service.request_plan_tickets(call);
+  EXPECT_FALSE(tickets[0].cache_hit);
+  EXPECT_TRUE(tickets[1].cache_hit);
   leader.join();
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, 3);
-  EXPECT_EQ(stats.rejections, 1);
-  EXPECT_EQ(stats.solver_runs, 1);
+  EXPECT_EQ(stats.solver_runs, 2);
   EXPECT_EQ(stats.cache_hits, 1);
+  EXPECT_EQ(stats.coalesced_hits, 1);
   EXPECT_EQ(stats.queue_depth, 0);
-  EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs + stats.rejections);
-
-  // The shard drained: the previously shed key is admitted now.
-  EXPECT_FALSE(plan_one(service, {3, 25.0}).cache_hit);
+  EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs);
 }
 
 // --- Per-shard statistics ------------------------------------------------
@@ -272,7 +242,7 @@ TEST(PlanShards, PerShardStatsSumToAggregate) {
   ServiceStats sum;
   int populated = 0;
   for (const ServiceStats& s : per_shard) {
-    EXPECT_EQ(s.requests, s.cache_hits + s.solver_runs + s.rejections);  // per shard too
+    EXPECT_EQ(s.requests, s.cache_hits + s.solver_runs);  // per shard too
     if (s.requests > 0) ++populated;
     sum.requests += s.requests;
     sum.replans += s.replans;
@@ -280,8 +250,6 @@ TEST(PlanShards, PerShardStatsSumToAggregate) {
     sum.coalesced_hits += s.coalesced_hits;
     sum.solver_runs += s.solver_runs;
     sum.evictions += s.evictions;
-    sum.expirations += s.expirations;
-    sum.rejections += s.rejections;
     sum.queue_depth += s.queue_depth;
   }
   expect_stats_eq(sum, service.stats());

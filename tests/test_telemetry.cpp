@@ -251,27 +251,6 @@ TEST(TelemetryExport, JsonShape) {
   EXPECT_NE(json.find(b300), std::string::npos);
 }
 
-TEST(TelemetryExport, PrometheusShape) {
-  telemetry::Counter& c = telemetry::counter("tst.prom.ctr");
-  c.reset();
-  c.add(5);
-  Histogram& h = telemetry::histogram("tst.prom.h");
-  h.reset();
-  h.record(10);
-  h.record(10);
-  h.record(200);
-  const std::string prom = telemetry::to_prometheus(telemetry::snapshot());
-  EXPECT_NE(prom.find("# TYPE evvo_tst_prom_ctr counter\nevvo_tst_prom_ctr 5\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("# TYPE evvo_tst_prom_h histogram\n"), std::string::npos);
-  // Cumulative buckets: the unit bucket at 10 has both samples, le bounds
-  // are the next bucket's lower edge, and +Inf carries the total.
-  EXPECT_NE(prom.find("evvo_tst_prom_h_bucket{le=\"11\"} 2\n"), std::string::npos);
-  EXPECT_NE(prom.find("evvo_tst_prom_h_bucket{le=\"+Inf\"} 3\n"), std::string::npos);
-  EXPECT_NE(prom.find("evvo_tst_prom_h_sum 220\n"), std::string::npos);
-  EXPECT_NE(prom.find("evvo_tst_prom_h_count 3\n"), std::string::npos);
-}
-
 using TelemetryWithLogsTest = evvo::testing::LogCaptureTest;
 
 TEST_F(TelemetryWithLogsTest, LoggingInsideSpansComposes) {

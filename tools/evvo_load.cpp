@@ -2,9 +2,8 @@
 //
 // Generates a deterministic fleet workload (Poisson arrivals, Zipf hot-slot
 // skew, mixed cold-plan/replan traffic) over a small signalized corridor and
-// drives the planning service from M threads, reporting p50/p99 serving
-// latency and plans/sec. Both serving modes go through the service's one
-// ticket-span API:
+// drives the planning service from M threads, reporting plans/sec. Both
+// serving modes go through the service's one ticket-span API:
 //
 //   --mode legacy    one request per call on a 1-shard service, each ticket
 //                    materialized - the original single-mutex layout and its
@@ -16,14 +15,11 @@
 //                    plans/sec speedup and fails (exit 1) when it is below
 //                    --min-speedup. This is the CI load-smoke gate.
 //
-// --out writes the numbers as Google-Benchmark-style JSON
-// (BM_LoadPlanService/<mode>_{per_plan,p50,p99}) tagged with evvo_build, the
-// format tools/bench_compare reads. BENCH_dp.json records none of these
-// entries, so no committed baseline gates them. Latency percentiles are histogram-derived (telemetry.hpp
-// log-linear layout, 6.25% bucket width) - no per-run sample sort.
+// Serving latency is not measured here: fleetbench/ is the latency benchmark
+// of record.
 //
 // --telemetry-dump FILE writes the full telemetry registry snapshot (shard
-// counters, solver spans, load latency histograms) as JSON after the run;
+// counters, solver spans, service histograms) as JSON after the run;
 // tools/evvo_stat pretty-prints and diffs the format.
 //
 // --check replays a small workload single-threaded through the batched
@@ -75,7 +71,6 @@ struct Options {
   std::size_t batch = 256;
   std::string mode = "compare";  // legacy | sharded | compare
   double min_speedup = 0.0;
-  std::string out_path;
   std::string telemetry_dump_path;
   bool check = false;
   bool tamper = false;
@@ -87,7 +82,7 @@ void usage() {
       "usage: evvo_load [--seed N] [--requests N] [--threads M] [--shards N]\n"
       "                 [--replan-frac F] [--zipf-s F] [--miss-rate F] [--batch N]\n"
       "                 [--mode legacy|sharded|compare] [--min-speedup F]\n"
-      "                 [--out FILE] [--telemetry-dump FILE] [--check] [--tamper]\n"
+      "                 [--telemetry-dump FILE] [--check] [--tamper]\n"
       "  --check replays the workload against the cold-solve oracle "
       "(single-threaded);\n"
       "  --tamper corrupts one served node so the check must fail.\n");
@@ -143,10 +138,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = next("--min-speedup");
       if (!v) return false;
       opt.min_speedup = std::strtod(v, nullptr);
-    } else if (arg == "--out") {
-      const char* v = next("--out");
-      if (!v) return false;
-      opt.out_path = v;
     } else if (arg == "--telemetry-dump") {
       const char* v = next("--telemetry-dump");
       if (!v) return false;
@@ -333,32 +324,18 @@ void warm_service(cloud::PlanService& service) {
 
 struct LoadResult {
   double wall_s = 0.0;
-  const telemetry::Histogram* latency_hist = nullptr;  // one sample per request
   long served = 0;
-  /// Batch-path group sizes (sharded mode only): same-key groups per tick,
-  /// from the service's batch_group_size histogram.
-  std::uint64_t groups = 0;
-  double group_p50 = 0.0;
-  double group_p99 = 0.0;
 
   double per_plan_ns() const { return wall_s * 1e9 / std::max(1L, served); }
   double plans_per_sec() const { return served / std::max(1e-12, wall_s); }
-  /// Histogram-derived percentile: the sample's bucket lower bound, within
-  /// one bucket width (6.25%) of the value a full sample sort would give.
-  /// Threads record straight into the shared lock-free histogram, so there
-  /// is no per-thread sample vector and no O(n log n) post-pass.
-  double percentile(double p) const {
-    return latency_hist ? static_cast<double>(latency_hist->percentile(p)) : 0.0;
-  }
 };
 
 /// Legacy serving: one request per call (a span of one), its ticket
 /// materialized - the per-request profile copy every caller of the
 /// pre-shard service paid.
 void drive_legacy(cloud::PlanService& service, const std::vector<Request>& requests,
-                  telemetry::Histogram& lat_hist, std::size_t& sink) {
+                  std::size_t& sink) {
   for (const Request& r : requests) {
-    const std::uint64_t start = common::now_ns();
     const cloud::PlanRequest plan{r.vehicle, r.time_s};
     const cloud::ReplanRequest replan{r.vehicle, r.position_m, r.speed_ms, r.time_s};
     const core::PlannedProfile profile =
@@ -366,16 +343,14 @@ void drive_legacy(cloud::PlanService& service, const std::vector<Request>& reque
                   : service.request_plan_tickets({&plan, 1}))
             .front()
             .materialize();
-    lat_hist.record(common::now_ns() - start);
     sink += profile.nodes().size();
   }
 }
 
 /// Sharded serving: per-tick batched ticket dispatch (one cache transaction
-/// per distinct key per tick, no node-vector copies). Each request's latency
-/// is its whole tick's serve time - the conservative attribution.
+/// per distinct key per tick, no node-vector copies).
 void drive_sharded(cloud::PlanService& service, const std::vector<Request>& requests,
-                   std::size_t batch, telemetry::Histogram& lat_hist, std::size_t& sink) {
+                   std::size_t batch, std::size_t& sink) {
   std::vector<cloud::PlanRequest> plans;
   std::vector<cloud::ReplanRequest> replans;
   for (std::size_t begin = 0; begin < requests.size(); begin += batch) {
@@ -390,14 +365,10 @@ void drive_sharded(cloud::PlanService& service, const std::vector<Request>& requ
         plans.push_back({r.vehicle, r.time_s});
       }
     }
-    const std::uint64_t start = common::now_ns();
-    const std::vector<cloud::PlanTicket> plan_tickets = service.request_plan_tickets(plans);
-    const std::vector<cloud::PlanTicket> replan_tickets =
-        service.request_replan_tickets(replans);
-    const std::uint64_t tick_ns = common::now_ns() - start;
-    for (const cloud::PlanTicket& t : plan_tickets) sink += t.reference->nodes().size();
-    for (const cloud::PlanTicket& t : replan_tickets) sink += t.reference->nodes().size();
-    for (std::size_t i = begin; i < end; ++i) lat_hist.record(tick_ns);
+    for (const cloud::PlanTicket& t : service.request_plan_tickets(plans))
+      sink += t.reference->nodes().size();
+    for (const cloud::PlanTicket& t : service.request_replan_tickets(replans))
+      sink += t.reference->nodes().size();
   }
 }
 
@@ -406,12 +377,6 @@ LoadResult run_load(const Options& opt, bool sharded) {
   cache.shards = sharded ? opt.shards : 1;
   cloud::PlanService service(make_planner(), demand(), cache);
   warm_service(service);
-
-  // Per-mode latency histogram; reset so compare mode's second run starts
-  // clean (the registry is process-global).
-  telemetry::Histogram& lat_hist = telemetry::histogram(
-      std::string("load.") + (sharded ? "sharded" : "legacy") + ".latency_ns");
-  lat_hist.reset();
 
   // Per-thread deterministic streams: thread t serves its own workload
   // slice, so the byte content of the traffic does not depend on --threads
@@ -429,18 +394,18 @@ LoadResult run_load(const Options& opt, bool sharded) {
   const std::uint64_t start = common::now_ns();
   if (streams.size() == 1) {
     if (sharded) {
-      drive_sharded(service, streams[0], opt.batch, lat_hist, sinks[0]);
+      drive_sharded(service, streams[0], opt.batch, sinks[0]);
     } else {
-      drive_legacy(service, streams[0], lat_hist, sinks[0]);
+      drive_legacy(service, streams[0], sinks[0]);
     }
   } else {
     std::vector<std::thread> drivers;
     for (std::size_t t = 0; t < streams.size(); ++t) {
       drivers.emplace_back([&, t] {
         if (sharded) {
-          drive_sharded(service, streams[t], opt.batch, lat_hist, sinks[t]);
+          drive_sharded(service, streams[t], opt.batch, sinks[t]);
         } else {
-          drive_legacy(service, streams[t], lat_hist, sinks[t]);
+          drive_legacy(service, streams[t], sinks[t]);
         }
       });
     }
@@ -450,75 +415,26 @@ LoadResult run_load(const Options& opt, bool sharded) {
 
   LoadResult result;
   result.wall_s = common::seconds_between_ns(start, end);
-  result.latency_hist = &lat_hist;
-  result.served = static_cast<long>(lat_hist.count());
+  result.served = static_cast<long>(opt.requests);
 
   const cloud::ServiceStats stats = service.stats();
   std::fprintf(stderr,
-               "  [%s] served %ld requests in %.3f s: %.0f plans/s, per-plan %.0f ns, "
-               "p50 %.0f ns, p99 %.0f ns (hits %ld, solves %ld, shards %zu)\n",
+               "  [%s] served %ld requests in %.3f s: %.0f plans/s, per-plan %.0f ns "
+               "(hits %ld, solves %ld, shards %zu)\n",
                sharded ? "sharded" : "legacy", result.served, result.wall_s,
-               result.plans_per_sec(), result.per_plan_ns(), result.percentile(0.50),
-               result.percentile(0.99), stats.cache_hits, stats.solver_runs,
-               service.shard_count());
+               result.plans_per_sec(), result.per_plan_ns(), stats.cache_hits,
+               stats.solver_runs, service.shard_count());
   if (sharded) {
     const telemetry::Histogram& groups = service.batch_group_sizes();
-    result.groups = groups.count();
-    if (result.groups > 0) {
-      result.group_p50 = static_cast<double>(groups.percentile(0.50));
-      result.group_p99 = static_cast<double>(groups.percentile(0.99));
+    if (groups.count() > 0) {
       std::fprintf(stderr,
-                   "  [%s] batch groups: %llu over the run, size p50 %.0f, p99 %.0f\n",
-                   "sharded", static_cast<unsigned long long>(result.groups),
-                   result.group_p50, result.group_p99);
+                   "  [sharded] batch groups: %llu over the run, size p50 %llu, p99 %llu\n",
+                   static_cast<unsigned long long>(groups.count()),
+                   static_cast<unsigned long long>(groups.percentile(0.50)),
+                   static_cast<unsigned long long>(groups.percentile(0.99)));
     }
   }
   return result;
-}
-
-// --- Bench JSON ----------------------------------------------------------
-
-struct JsonEntry {
-  std::string name;
-  double value = 0.0;
-  const char* unit = "ns";  ///< "ns" (time) or "count" (histogram metrics)
-};
-
-void write_bench_json(const std::string& path, const Options& opt,
-                      const std::vector<JsonEntry>& entries) {
-#if defined(NDEBUG)
-  const char* build = "release";
-#else
-  const char* build = "debug";
-#endif
-  std::ofstream out(path);
-  out << "{\n  \"context\": {\n"
-      << "    \"evvo_build\": \"" << build << "\",\n"
-      << "    \"evvo_load_seed\": \"" << opt.seed << "\",\n"
-      << "    \"evvo_load_requests\": \"" << opt.requests << "\",\n"
-      << "    \"evvo_load_threads\": \"" << opt.threads << "\"\n"
-      << "  },\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    out << "    {\"name\": \"" << entries[i].name
-        << "\", \"run_type\": \"iteration\", \"iterations\": 1, \"real_time\": "
-        << entries[i].value << ", \"cpu_time\": " << entries[i].value
-        << ", \"time_unit\": \"" << entries[i].unit << "\"}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
-void append_entries(std::vector<JsonEntry>& entries, const std::string& tag,
-                    const LoadResult& result) {
-  entries.push_back({"BM_LoadPlanService/" + tag + "_per_plan", result.per_plan_ns()});
-  entries.push_back({"BM_LoadPlanService/" + tag + "_p50", result.percentile(0.50)});
-  entries.push_back({"BM_LoadPlanService/" + tag + "_p99", result.percentile(0.99)});
-  if (result.groups > 0) {
-    entries.push_back(
-        {"BM_LoadPlanService/" + tag + "_batch_group_p50", result.group_p50, "count"});
-    entries.push_back(
-        {"BM_LoadPlanService/" + tag + "_batch_group_p99", result.group_p99, "count"});
-  }
 }
 
 // --- Differential check --------------------------------------------------
@@ -629,7 +545,7 @@ int run_check(const Options& opt) {
                "evvo_load --check: %ld responses vs oracle, %ld mismatches "
                "(%zu distinct keys, %ld solver runs, %ld hits)\n",
                checked, failures, seen.size(), stats.solver_runs, stats.cache_hits);
-  if (stats.requests != stats.cache_hits + stats.solver_runs + stats.rejections) {
+  if (stats.requests != stats.cache_hits + stats.solver_runs) {
     std::fprintf(stderr, "evvo_load: stats identity violated\n");
     return 1;
   }
@@ -665,24 +581,19 @@ int main(int argc, char** argv) {
     return rc;
   }
 
-  std::vector<JsonEntry> entries;
   double speedup = 0.0;
-  const std::string sharded_tag = "sharded" + std::to_string(opt.shards);
   if (opt.mode == "legacy" || opt.mode == "compare") {
     const LoadResult legacy = run_load(opt, /*sharded=*/false);
-    append_entries(entries, "legacy1", legacy);
     if (opt.mode == "compare") {
       const LoadResult sharded = run_load(opt, /*sharded=*/true);
-      append_entries(entries, sharded_tag, sharded);
       speedup = sharded.plans_per_sec() / std::max(1e-12, legacy.plans_per_sec());
       std::fprintf(stderr, "evvo_load: %u-shard batched serving sustains %.2fx the "
                            "plans/sec of the single-mutex service\n",
                    opt.shards, speedup);
     }
   } else {
-    append_entries(entries, sharded_tag, run_load(opt, /*sharded=*/true));
+    (void)run_load(opt, /*sharded=*/true);
   }
-  if (!opt.out_path.empty()) write_bench_json(opt.out_path, opt, entries);
   if (!opt.telemetry_dump_path.empty() && !dump_telemetry(opt.telemetry_dump_path)) return 2;
   if (opt.mode == "compare" && opt.min_speedup > 0.0 && speedup < opt.min_speedup) {
     std::fprintf(stderr, "evvo_load: speedup %.2fx below required %.2fx\n", speedup,
