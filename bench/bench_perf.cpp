@@ -62,23 +62,6 @@ void BM_DpSolveCorridor(benchmark::State& state) {
 }
 BENCHMARK(BM_DpSolveCorridor)->Arg(10)->Arg(20)->Arg(40)->Unit(benchmark::kMillisecond);
 
-void BM_DpSolveCorridorParallel(benchmark::State& state) {
-  const road::Corridor corridor = road::make_us25_corridor();
-  const ev::EnergyModel energy;
-  core::PlannerConfig cfg;
-  cfg.policy = core::SignalPolicy::kQueueAware;
-  cfg.resolution.threads = static_cast<unsigned>(state.range(0));
-  const core::VelocityPlanner planner(corridor, energy, cfg);
-  const auto arrivals = std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0));
-  (void)planner.plan(Seconds(0.0), arrivals);  // warm the workspace + model tables
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.plan(Seconds(0.0), arrivals));
-  }
-  state.SetLabel("threads=" + std::to_string(state.range(0)) + ", ds=10m");
-}
-BENCHMARK(BM_DpSolveCorridorParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_PlanServiceReplanHit(benchmark::State& state) {
   // Segment-memo hit path: mid-route replans whose quantized state and cycle
   // phase repeat are served by time-shifting the cached tail.
@@ -280,7 +263,6 @@ void BM_PlanServiceConcurrentMisses(benchmark::State& state) {
   core::PlannerConfig cfg;
   cfg.vm = sim::calibrated_vm_params(sim_cfg.background_driver, 13.4, sim_cfg.straight_ratio);
   cfg.resolution.ds_m = 40.0;  // coarse grid: many solves per iteration
-  cfg.resolution.threads = 1;  // parallelism comes from the callers alone
   const auto callers = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kMisses = 8;
   std::vector<std::vector<cloud::PlanRequest>> shares(callers);
@@ -309,7 +291,7 @@ BENCHMARK(BM_PlanServiceConcurrentMisses)->Arg(1)->Arg(4)->Unit(benchmark::kMill
 void BM_TelemetryOverhead(benchmark::State& state) {
   // Per-event cost of the instrumentation the hot paths carry: one sharded
   // counter add plus one TraceSpan (two clock reads + histogram record) —
-  // what the DP solver pays per stripe. Gated in CI like the solver benches;
+  // what the DP solver pays per solve. Gated in CI like the solver benches;
   // in EVVO_TELEMETRY=OFF builds the span compiles away and this measures
   // the counter alone.
   static telemetry::Counter& ctr = telemetry::counter("bench.telemetry.events");

@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "check/reference_dp.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "core/penalty.hpp"
 #include "core/profile_eval.hpp"
@@ -150,87 +149,33 @@ double integrate_profile_energy(const road::Route& route, const ev::EnergyModel&
   return total;
 }
 
-struct SolveSet {
-  std::optional<DpSolution> serial;                 ///< threads = 1, with checksum
-  std::vector<std::optional<DpSolution>> threaded;  ///< one per requested count
-};
-
-SolveSet solve_all(const DpProblem& base, core::DpWorkspace& ws, common::ThreadPool* pool,
-                   const std::vector<unsigned>& thread_counts) {
-  SolveSet out;
-  DpProblem p = base;
-  p.checksum_tables = true;
-  p.resolution.threads = 1;
-  out.serial = core::solve_dp(p, ws, nullptr);
-  for (const unsigned tc : thread_counts) {
-    p.resolution.threads = tc;
-    out.threaded.push_back(core::solve_dp(p, ws, pool));
-  }
-  return out;
-}
-
-/// Asserts every threaded solve is bit-identical to the serial baseline.
-void check_thread_identity(Reporter& rep, const char* mode, const SolveSet& set,
-                           const std::vector<unsigned>& thread_counts) {
-  for (std::size_t t = 0; t < set.threaded.size(); ++t) {
-    const auto& threaded = set.threaded[t];
-    const unsigned tc = thread_counts[t];
-    if (threaded.has_value() != set.serial.has_value()) {
-      rep.add("threads.feasibility")
-          << mode << ": threads=" << tc << " feasible=" << threaded.has_value()
-          << " but serial feasible=" << set.serial.has_value();
-      rep.commit();
-      continue;
-    }
-    if (!threaded) continue;
-    if (threaded->stats.table_checksum != set.serial->stats.table_checksum) {
-      rep.add("threads.checksum")
-          << mode << ": threads=" << tc << " table checksum " << std::hex
-          << threaded->stats.table_checksum << " != serial " << set.serial->stats.table_checksum;
-      rep.commit();
-    }
-    if (threaded->stats.best_cost_mah != set.serial->stats.best_cost_mah) {
-      rep.add("threads.cost") << mode << ": threads=" << tc << " best cost "
-                              << threaded->stats.best_cost_mah << " != serial "
-                              << set.serial->stats.best_cost_mah;
-      rep.commit();
-    }
-    if (!profiles_bit_identical(threaded->profile, set.serial->profile)) {
-      rep.add("threads.profile") << mode << ": threads=" << tc
-                                 << " extracted profile differs from the serial profile";
-      rep.commit();
-    }
-  }
-}
-
 /// Asserts every relaxation kernel the build and CPU offer (the scalar
 /// scan, the baseline vector backend, and the run-time dispatched AVX2 copy
-/// where it exists) solves bit-identically to the serial baseline: table
+/// where it exists) solves bit-identically to the baseline solve: table
 /// checksum, every DpStats field, best cost and extracted profile. The SIMD
 /// layer promises lane-exact IEEE arithmetic and scalar tie-breaking at any
 /// lane width (common/simd.hpp); this is the oracle that holds every kernel
 /// to that promise on every generated scenario. The kernel that produced the
 /// baseline is not solved again.
 void check_simd_identity(Reporter& rep, const DpProblem& base, core::DpWorkspace& ws,
-                         const SolveSet& un) {
+                         const std::optional<DpSolution>& baseline) {
   const std::vector<core::detail::DpKernelInfo> kernels = core::detail::dp_kernels();
   DpProblem p = base;
   p.checksum_tables = true;
-  p.resolution.threads = 1;
   for (const core::detail::DpKernelInfo& kernel : kernels) {
     if (kernel.kernel == kernels.back().kernel) continue;
     const std::optional<DpSolution> other =
-        core::detail::solve_dp_with_kernel(p, ws, nullptr, kernel.kernel);
-    if (other.has_value() != un.serial.has_value()) {
+        core::detail::solve_dp_with_kernel(p, ws, kernel.kernel);
+    if (other.has_value() != baseline.has_value()) {
       rep.add("simd.feasibility") << kernel.name << " kernel feasible=" << other.has_value()
                                   << " but the baseline solve feasible="
-                                  << un.serial.has_value();
+                                  << baseline.has_value();
       rep.commit();
       continue;
     }
     if (!other) continue;
     const core::DpStats& a = other->stats;
-    const core::DpStats& b = un.serial->stats;
+    const core::DpStats& b = baseline->stats;
     if (a.table_checksum != b.table_checksum) {
       rep.add("simd.checksum") << std::hex << kernel.name << " kernel table checksum "
                                << a.table_checksum << " != baseline " << b.table_checksum;
@@ -251,7 +196,7 @@ void check_simd_identity(Reporter& rep, const DpProblem& base, core::DpWorkspace
                             << b.pruned_states << ")";
       rep.commit();
     }
-    if (!profiles_bit_identical(other->profile, un.serial->profile)) {
+    if (!profiles_bit_identical(other->profile, baseline->profile)) {
       rep.add("simd.profile") << kernel.name
                               << " kernel extracted profile differs from the baseline profile";
       rep.commit();
@@ -478,21 +423,13 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
     }
   }
 
-  std::unique_ptr<common::ThreadPool> local_pool;
-  common::ThreadPool* pool = options.pool;
-  unsigned max_tc = 1;
-  for (const unsigned tc : options.thread_counts) max_tc = std::max(max_tc, tc);
-  if (!pool && max_tc > 1) {
-    local_pool = std::make_unique<common::ThreadPool>(max_tc);
-    pool = local_pool.get();
-  }
-
   core::DpWorkspace ws;  // shared across every production solve below
 
-  // --- solver identity: unpruned ---
+  // --- unpruned solve, tables checksummed for the identity checks ---
   DpProblem unpruned = base;
   unpruned.dominance_pruning = false;
-  const SolveSet un = solve_all(unpruned, ws, pool, options.thread_counts);
+  unpruned.checksum_tables = true;
+  const std::optional<DpSolution> un = core::solve_dp(unpruned, ws);
 
   // --- differential oracle ---
   if (options.run_reference) {
@@ -501,55 +438,52 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
       ref->best_cost_mah += 1.0;
       ref->table_checksum ^= 0xDEADBEEFull;
     }
-    if (ref.has_value() != un.serial.has_value()) {
+    if (ref.has_value() != un.has_value()) {
       rep.add("differential.feasibility")
           << "reference feasible=" << ref.has_value()
-          << " but production feasible=" << un.serial.has_value();
+          << " but production feasible=" << un.has_value();
       rep.commit();
     } else if (ref) {
-      if (ref->table_checksum != un.serial->stats.table_checksum) {
+      if (ref->table_checksum != un->stats.table_checksum) {
         rep.add("differential.checksum")
             << std::hex << "reference table checksum " << ref->table_checksum
-            << " != production " << un.serial->stats.table_checksum;
+            << " != production " << un->stats.table_checksum;
         rep.commit();
       }
-      if (ref->best_cost_mah != un.serial->stats.best_cost_mah) {
+      if (ref->best_cost_mah != un->stats.best_cost_mah) {
         rep.add("differential.cost") << "reference best cost " << ref->best_cost_mah
-                                     << " != production " << un.serial->stats.best_cost_mah;
+                                     << " != production " << un->stats.best_cost_mah;
         rep.commit();
       }
-      if (!profiles_bit_identical(ref->profile, un.serial->profile)) {
+      if (!profiles_bit_identical(ref->profile, un->profile)) {
         rep.add("differential.profile") << "reference profile differs from production";
         rep.commit();
       }
     }
   }
 
-  check_thread_identity(rep, "unpruned", un, options.thread_counts);
-
   // --- solver identity: vectorized vs scalar kernel ---
   if (options.run_simd_identity) check_simd_identity(rep, unpruned, ws, un);
 
-  // --- solver identity: pruned (forced on, whatever the spec says) ---
+  // --- pruned solve (forced on, whatever the spec says) ---
   DpProblem pruned = base;
   pruned.dominance_pruning = true;
-  const SolveSet pr = solve_all(pruned, ws, pool, options.thread_counts);
-  check_thread_identity(rep, "pruned", pr, options.thread_counts);
+  const std::optional<DpSolution> pr = core::solve_dp(pruned, ws);
 
-  if (pr.serial.has_value() != un.serial.has_value()) {
-    rep.add("pruning.feasibility") << "pruned feasible=" << pr.serial.has_value()
-                                   << " but unpruned feasible=" << un.serial.has_value();
+  if (pr.has_value() != un.has_value()) {
+    rep.add("pruning.feasibility") << "pruned feasible=" << pr.has_value()
+                                   << " but unpruned feasible=" << un.has_value();
     rep.commit();
-  } else if (pr.serial) {
-    const double cp = pr.serial->stats.best_cost_mah;
-    const double cu = un.serial->stats.best_cost_mah;
+  } else if (pr) {
+    const double cp = pr->stats.best_cost_mah;
+    const double cu = un->stats.best_cost_mah;
     if (std::abs(cp - cu) > 1e-4 + 1e-6 * std::abs(cu)) {
       rep.add("pruning.cost") << "pruned best cost " << cp << " != unpruned " << cu;
       rep.commit();
     }
   }
 
-  const std::optional<DpSolution>& spec_sol = base.dominance_pruning ? pr.serial : un.serial;
+  const std::optional<DpSolution>& spec_sol = base.dominance_pruning ? pr : un;
   if (!spec_sol) {
     report.feasible = false;
     return report;
@@ -616,8 +550,7 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
     DpProblem hard = scenario->problem();
     hard.penalty.mode = core::PenaltyMode::kHard;
     hard.checksum_tables = false;
-    hard.resolution.threads = pool ? max_tc : 1;
-    const std::optional<DpSolution> hard_sol = core::solve_dp(hard, ws, pool);
+    const std::optional<DpSolution> hard_sol = core::solve_dp(hard, ws);
     const double c = spec_sol->stats.best_cost_mah;
     if (!hard_sol) {
       if (all_compliant && options.inject == Fault::kNone) {

@@ -5,10 +5,10 @@
 //  - spec serialization round-trips exactly;
 //  - QL-model sanity: predicted zero-queue windows T_q lie inside green
 //    phases, are ordered and disjoint, and queue lengths are never negative;
-//  - solver identity: the DP cost/time/backpointer tables (compared by
-//    checksum) and the extracted profile are bit-identical across thread
-//    counts, for both pruning modes, and the unpruned tables match the naive
-//    reference solver (differential oracle);
+//  - solver identity: the unpruned DP cost/time/backpointer tables
+//    (compared by checksum) and the extracted profile match the naive
+//    reference solver (differential oracle), and every relaxation kernel
+//    solves bit-identically;
 //  - pruning soundness: pruned and unpruned solves agree on the optimal cost;
 //  - plan feasibility: speed limits, the acceleration envelope, boundary
 //    speeds, stop-sign dwells, horizon;
@@ -29,10 +29,6 @@
 
 #include "check/scenario.hpp"
 
-namespace evvo::common {
-class ThreadPool;
-}
-
 namespace evvo::check {
 
 /// Deliberate defects for harness self-tests: each targets one invariant
@@ -50,9 +46,6 @@ const char* fault_name(Fault fault);
 Fault fault_from_name(const std::string& name);
 
 struct CheckOptions {
-  /// Thread counts for the table-identity checks (serial is always run and is
-  /// the baseline the others must match bit-for-bit).
-  std::vector<unsigned> thread_counts{2, 4, 8};
   /// Run the naive reference solver (the expensive differential oracle).
   bool run_reference = true;
   /// Run the closed-loop microsim replay oracle.
@@ -62,9 +55,6 @@ struct CheckOptions {
   /// tables, stats, cost, and profile to match the default solve
   /// bit-for-bit. Only the scalar scan exists on scalar-backend builds.
   bool run_simd_identity = true;
-  /// Pool for the threaded solves. Null creates one on demand per call; the
-  /// fuzz driver shares one pool across all scenarios instead.
-  common::ThreadPool* pool = nullptr;
   Fault inject = Fault::kNone;
 };
 

@@ -6,14 +6,14 @@
 // dominance pruning, no fused cost tables, no threads. It exists to check the
 // production solver, so it must be *obviously* a transcription of the
 // recurrence - every optimization the production solver layers on top
-// (stripes, pruning, lazy resets, precomputed tables) is something this file
+// (frontier gather, pruning, lazy resets, precomputed tables) is something this file
 // does not do.
 //
 // The one thing it shares with production is the float rounding sequence of
 // the transition costs and the (j, k)-lexicographic candidate order per
 // destination cell. Those are contracts of the production solver (documented
-// in dp_solver.hpp: "bit-identical at every thread count", "fused tables with
-// the same float rounding sequence"), and the differential test asserts them
+// in dp_solver.hpp: "bit-identical to the scalar path, at any lane width",
+// "fused tables with the same float rounding sequence"), and the differential test asserts them
 // at table granularity: identical cost, continuous-time, and backpointer
 // tables, compared by checksum (dp_common.hpp).
 #pragma once
@@ -37,8 +37,7 @@ struct [[nodiscard]] ReferenceSolution {
 };
 
 /// Solves `problem` with the naive dense sweep. Ignores
-/// problem.dominance_pruning (never prunes), problem.resolution.threads
-/// (always serial), and problem.checksum_tables (always checksums). Returns
+/// problem.dominance_pruning (never prunes) and problem.checksum_tables (always checksums). Returns
 /// std::nullopt exactly when the production solver would: no feasible
 /// trajectory reaches the destination within the horizon.
 std::optional<ReferenceSolution> solve_reference_dp(const core::DpProblem& problem);

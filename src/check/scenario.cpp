@@ -162,8 +162,8 @@ ScenarioSpec generate_scenario(std::uint64_t seed, const ScenarioBounds& b) {
   // Keep one scenario's DP grid within a fixed cell budget so fuzz runs have
   // predictable memory and wall-clock: coarsen the grid deterministically
   // until it fits.
-  // Every scenario runs ~10 full DP solves (reference oracle, thread sweep in
-  // both pruning modes, hard-mode cross-solve), so the budget is what keeps
+  // Every scenario runs ~6 full DP solves (reference oracle, both pruning
+  // modes, every other relaxation kernel, hard-mode cross-solve), so the budget is what keeps
   // "200 scenarios in a CI minute" honest.
   constexpr std::size_t kMaxCells = 1'200'000;
   if (grid_cells(spec) > kMaxCells) spec.planner.resolution.dt_s = 1.0;
@@ -340,7 +340,6 @@ core::DpProblem Scenario::problem() const {
   problem.energy = &energy_;
   problem.depart_time = Seconds(spec_.depart_time_s);
   problem.resolution = spec_.planner.resolution;
-  problem.resolution.threads = 1;
   problem.penalty = spec_.planner.penalty;
   problem.time_weight_mah_per_s = spec_.planner.time_weight_mah_per_s;
   problem.smoothness_weight_mah_per_ms = spec_.planner.smoothness_weight_mah_per_ms;

@@ -77,8 +77,7 @@ struct ScenarioSpec {
   double depart_time_s = 0.0;
 
   /// Planner configuration under test (resolution, penalty, policy, weights,
-  /// window margins, pruning). resolution.threads is ignored; the checkers
-  /// control thread counts explicitly.
+  /// window margins, pruning).
   core::PlannerConfig planner{};
 
   double corridor_length_m() const { return segments.empty() ? 0.0 : segments.back().end_m; }

@@ -16,9 +16,9 @@
 //
 // Ordering rationale (low ranks are acquired first, high ranks are leaves):
 // the serving path enters through a PlanService shard, may touch its flight
-// records and lazily-built pools, hands work to the thread pool, and logs
-// from anywhere — so logging is the highest (leaf) rank, service-entry locks
-// are the lowest, and the pool internals sit in between. Gaps are deliberate:
+// records and the planner's workspace pool, registers metrics, and logs from
+// anywhere — so logging is the highest (leaf) rank, service-entry locks are
+// the lowest, and the workspace pool sits in between. Gaps are deliberate:
 // new locks slot in without renumbering.
 #pragma once
 
@@ -41,16 +41,6 @@ enum class LockRank : int {
   /// core::WorkspacePool::free_mutex_ — solver-context checkout.
   kWorkspacePool = 40,
 
-  /// core::VelocityPlanner Runtime::runtime_mutex — lazy construction of the
-  /// relaxation pool.
-  kPlannerRuntime = 50,
-
-  /// common::ThreadPool::queue_mutex_ — batch queue and shutdown flag.
-  kThreadPoolQueue = 60,
-
-  /// common::ThreadPool::Batch::batch_mutex — per-batch completion handoff.
-  kPoolBatch = 70,
-
   /// The telemetry registry (common/telemetry.cpp registry_mutex_): metric
   /// registration and snapshot only — hot-path metric updates are atomic and
   /// never lock. Near-leaf so any subsystem may register its metrics while
@@ -69,9 +59,6 @@ constexpr const char* lock_rank_name(LockRank rank) {
     case LockRank::kPlanShard: return "kPlanShard";
     case LockRank::kPlanFlight: return "kPlanFlight";
     case LockRank::kWorkspacePool: return "kWorkspacePool";
-    case LockRank::kPlannerRuntime: return "kPlannerRuntime";
-    case LockRank::kThreadPoolQueue: return "kThreadPoolQueue";
-    case LockRank::kPoolBatch: return "kPoolBatch";
     case LockRank::kTelemetryRegistry: return "kTelemetryRegistry";
     case LockRank::kLogging: return "kLogging";
   }

@@ -14,7 +14,7 @@
 // caller an AVX2 copy of an inline function, or the reverse.
 //
 // Bit-identity contract (what makes SIMD-on vs scalar solves comparable
-// bit-for-bit in the DP solver and the microsim):
+// bit-for-bit in the DP solver):
 //  - Lane arithmetic (+, -, *, /, sqrt, float<->double conversion, truncating
 //    double->int32) uses the IEEE-754 instructions, which produce exactly the
 //    scalar result per lane. No fused-multiply-add is ever emitted: kernels
@@ -24,9 +24,6 @@
 //    machine min/max instruction semantics: std::min(a, b) returns a when the
 //    operands compare equal (e.g. -0.0 vs +0.0), so the lane-wise form is
 //    select(b < a, b, a). This keeps even zero signs identical to scalar code.
-//  - argmin_first breaks value ties toward the lowest index (scalar scan
-//    order): per lane a strict < keeps the earliest element, and the final
-//    horizontal reduction prefers the smallest index among equal lanes.
 //
 // NaN handling: kernels must keep NaNs out of comparisons they rely on
 // (masked lanes may hold NaN transients - e.g. sqrt of a negative radicand -
@@ -90,11 +87,6 @@ struct VecF {
   __m256 v;
 
   static VecF load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  static VecF load_partial(const float* p, std::size_t n, float fill) {
-    alignas(32) float tmp[kWidth];
-    for (std::size_t i = 0; i < kWidth; ++i) tmp[i] = i < n ? p[i] : fill;
-    return {_mm256_load_ps(tmp)};
-  }
   static VecF broadcast(float x) { return {_mm256_set1_ps(x)}; }
   void store(float* p) const { _mm256_storeu_ps(p, v); }
 
@@ -108,11 +100,6 @@ struct VecD {
   __m256d v;
 
   static VecD load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static VecD load_partial(const double* p, std::size_t n, double fill) {
-    alignas(32) double tmp[kWidth];
-    for (std::size_t i = 0; i < kWidth; ++i) tmp[i] = i < n ? p[i] : fill;
-    return {_mm256_load_pd(tmp)};
-  }
   static VecD broadcast(double x) { return {_mm256_set1_pd(x)}; }
   void store(double* p) const { _mm256_storeu_pd(p, v); }
 
@@ -128,19 +115,15 @@ struct VecI32 {
   static VecI32 load(const std::int32_t* p) {
     return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
   }
-  static VecI32 broadcast(std::int32_t x) { return {_mm256_set1_epi32(x)}; }
-  static VecI32 iota() { return {_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)}; }
   void store(std::int32_t* p) const {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
-  friend VecI32 operator+(VecI32 a, VecI32 b) { return {_mm256_add_epi32(a.v, b.v)}; }
 };
 
 inline MaskF cmp_lt(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)}; }
 inline MaskF cmp_ge(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_GE_OQ)}; }
 inline MaskD cmp_ge(VecD a, VecD b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ)}; }
 inline MaskD cmp_lt(VecD a, VecD b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)}; }
-inline MaskD cmp_le(VecD a, VecD b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)}; }
 
 inline VecF select(MaskF m, VecF if_true, VecF if_false) {
   return {_mm256_blendv_ps(if_false.v, if_true.v, m.m)};
@@ -158,7 +141,6 @@ inline int movemask(MaskD m) { return _mm256_movemask_pd(m.m); }
 /// Bitwise mask combinators. mask_andnot(a, b) is a & ~b (NOT the andnot
 /// instruction's operand order, which negates the first operand).
 inline MaskF mask_and(MaskF a, MaskF b) { return {_mm256_and_ps(a.m, b.m)}; }
-inline MaskF mask_or(MaskF a, MaskF b) { return {_mm256_or_ps(a.m, b.m)}; }
 inline MaskF mask_andnot(MaskF a, MaskF b) { return {_mm256_andnot_ps(b.m, a.m)}; }
 
 inline VecD widen_low(VecF x) { return {_mm256_cvtps_pd(_mm256_castps256_ps128(x.v))}; }
@@ -204,11 +186,6 @@ struct VecF {
   __m128 v;
 
   static VecF load(const float* p) { return {_mm_loadu_ps(p)}; }
-  static VecF load_partial(const float* p, std::size_t n, float fill) {
-    alignas(16) float tmp[kWidth];
-    for (std::size_t i = 0; i < kWidth; ++i) tmp[i] = i < n ? p[i] : fill;
-    return {_mm_load_ps(tmp)};
-  }
   static VecF broadcast(float x) { return {_mm_set1_ps(x)}; }
   void store(float* p) const { _mm_storeu_ps(p, v); }
 
@@ -222,11 +199,6 @@ struct VecD {
   __m128d v;
 
   static VecD load(const double* p) { return {_mm_loadu_pd(p)}; }
-  static VecD load_partial(const double* p, std::size_t n, double fill) {
-    alignas(16) double tmp[kWidth];
-    for (std::size_t i = 0; i < kWidth; ++i) tmp[i] = i < n ? p[i] : fill;
-    return {_mm_load_pd(tmp)};
-  }
   static VecD broadcast(double x) { return {_mm_set1_pd(x)}; }
   void store(double* p) const { _mm_storeu_pd(p, v); }
 
@@ -242,19 +214,15 @@ struct VecI32 {
   static VecI32 load(const std::int32_t* p) {
     return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
   }
-  static VecI32 broadcast(std::int32_t x) { return {_mm_set1_epi32(x)}; }
-  static VecI32 iota() { return {_mm_setr_epi32(0, 1, 2, 3)}; }
   void store(std::int32_t* p) const {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
   }
-  friend VecI32 operator+(VecI32 a, VecI32 b) { return {_mm_add_epi32(a.v, b.v)}; }
 };
 
 inline MaskF cmp_lt(VecF a, VecF b) { return {_mm_cmplt_ps(a.v, b.v)}; }
 inline MaskF cmp_ge(VecF a, VecF b) { return {_mm_cmpge_ps(a.v, b.v)}; }
 inline MaskD cmp_ge(VecD a, VecD b) { return {_mm_cmpge_pd(a.v, b.v)}; }
 inline MaskD cmp_lt(VecD a, VecD b) { return {_mm_cmplt_pd(a.v, b.v)}; }
-inline MaskD cmp_le(VecD a, VecD b) { return {_mm_cmple_pd(a.v, b.v)}; }
 
 inline VecF select(MaskF m, VecF if_true, VecF if_false) {
   return {_mm_or_ps(_mm_and_ps(m.m, if_true.v), _mm_andnot_ps(m.m, if_false.v))};
@@ -272,7 +240,6 @@ inline int movemask(MaskD m) { return _mm_movemask_pd(m.m); }
 
 /// Bitwise mask combinators; mask_andnot(a, b) is a & ~b.
 inline MaskF mask_and(MaskF a, MaskF b) { return {_mm_and_ps(a.m, b.m)}; }
-inline MaskF mask_or(MaskF a, MaskF b) { return {_mm_or_ps(a.m, b.m)}; }
 inline MaskF mask_andnot(MaskF a, MaskF b) { return {_mm_andnot_ps(b.m, a.m)}; }
 
 inline VecD widen_low(VecF x) { return {_mm_cvtps_pd(x.v)}; }
@@ -319,11 +286,6 @@ struct VecF {
   float32x4_t v;
 
   static VecF load(const float* p) { return {vld1q_f32(p)}; }
-  static VecF load_partial(const float* p, std::size_t n, float fill) {
-    float tmp[kWidth];
-    for (std::size_t i = 0; i < kWidth; ++i) tmp[i] = i < n ? p[i] : fill;
-    return {vld1q_f32(tmp)};
-  }
   static VecF broadcast(float x) { return {vdupq_n_f32(x)}; }
   void store(float* p) const { vst1q_f32(p, v); }
 
@@ -337,11 +299,6 @@ struct VecD {
   float64x2_t v;
 
   static VecD load(const double* p) { return {vld1q_f64(p)}; }
-  static VecD load_partial(const double* p, std::size_t n, double fill) {
-    double tmp[kWidth];
-    for (std::size_t i = 0; i < kWidth; ++i) tmp[i] = i < n ? p[i] : fill;
-    return {vld1q_f64(tmp)};
-  }
   static VecD broadcast(double x) { return {vdupq_n_f64(x)}; }
   void store(double* p) const { vst1q_f64(p, v); }
 
@@ -355,20 +312,13 @@ struct VecI32 {
   static constexpr std::size_t kWidth = 4;
   int32x4_t v;
   static VecI32 load(const std::int32_t* p) { return {vld1q_s32(p)}; }
-  static VecI32 broadcast(std::int32_t x) { return {vdupq_n_s32(x)}; }
-  static VecI32 iota() {
-    const std::int32_t init[4] = {0, 1, 2, 3};
-    return {vld1q_s32(init)};
-  }
   void store(std::int32_t* p) const { vst1q_s32(p, v); }
-  friend VecI32 operator+(VecI32 a, VecI32 b) { return {vaddq_s32(a.v, b.v)}; }
 };
 
 inline MaskF cmp_lt(VecF a, VecF b) { return {vcltq_f32(a.v, b.v)}; }
 inline MaskF cmp_ge(VecF a, VecF b) { return {vcgeq_f32(a.v, b.v)}; }
 inline MaskD cmp_ge(VecD a, VecD b) { return {vcgeq_f64(a.v, b.v)}; }
 inline MaskD cmp_lt(VecD a, VecD b) { return {vcltq_f64(a.v, b.v)}; }
-inline MaskD cmp_le(VecD a, VecD b) { return {vcleq_f64(a.v, b.v)}; }
 
 inline VecF select(MaskF m, VecF if_true, VecF if_false) {
   return {vbslq_f32(m.m, if_true.v, if_false.v)};
@@ -397,7 +347,6 @@ inline int movemask(MaskD m) {
 
 /// Bitwise mask combinators; mask_andnot(a, b) is a & ~b (vbic operand order).
 inline MaskF mask_and(MaskF a, MaskF b) { return {vandq_u32(a.m, b.m)}; }
-inline MaskF mask_or(MaskF a, MaskF b) { return {vorrq_u32(a.m, b.m)}; }
 inline MaskF mask_andnot(MaskF a, MaskF b) { return {vbicq_u32(a.m, b.m)}; }
 
 inline VecD widen_low(VecF x) { return {vcvt_f64_f32(vget_low_f32(x.v))}; }
@@ -438,9 +387,6 @@ struct VecF {
   float v;
 
   static VecF load(const float* p) { return {*p}; }
-  static VecF load_partial(const float* p, std::size_t n, float fill) {
-    return {n > 0 ? *p : fill};
-  }
   static VecF broadcast(float x) { return {x}; }
   void store(float* p) const { *p = v; }
 
@@ -454,9 +400,6 @@ struct VecD {
   double v;
 
   static VecD load(const double* p) { return {*p}; }
-  static VecD load_partial(const double* p, std::size_t n, double fill) {
-    return {n > 0 ? *p : fill};
-  }
   static VecD broadcast(double x) { return {x}; }
   void store(double* p) const { *p = v; }
 
@@ -470,17 +413,13 @@ struct VecI32 {
   static constexpr std::size_t kWidth = 1;
   std::int32_t v;
   static VecI32 load(const std::int32_t* p) { return {*p}; }
-  static VecI32 broadcast(std::int32_t x) { return {x}; }
-  static VecI32 iota() { return {0}; }
   void store(std::int32_t* p) const { *p = v; }
-  friend VecI32 operator+(VecI32 a, VecI32 b) { return {a.v + b.v}; }
 };
 
 inline MaskF cmp_lt(VecF a, VecF b) { return {a.v < b.v}; }
 inline MaskF cmp_ge(VecF a, VecF b) { return {a.v >= b.v}; }
 inline MaskD cmp_ge(VecD a, VecD b) { return {a.v >= b.v}; }
 inline MaskD cmp_lt(VecD a, VecD b) { return {a.v < b.v}; }
-inline MaskD cmp_le(VecD a, VecD b) { return {a.v <= b.v}; }
 
 inline VecF select(MaskF m, VecF if_true, VecF if_false) { return m.m ? if_true : if_false; }
 inline VecD select(MaskD m, VecD if_true, VecD if_false) { return m.m ? if_true : if_false; }
@@ -493,7 +432,6 @@ inline int movemask(MaskD m) { return m.m ? 1 : 0; }
 
 /// Bitwise mask combinators; mask_andnot(a, b) is a & ~b.
 inline MaskF mask_and(MaskF a, MaskF b) { return {a.m && b.m}; }
-inline MaskF mask_or(MaskF a, MaskF b) { return {a.m || b.m}; }
 inline MaskF mask_andnot(MaskF a, MaskF b) { return {a.m && !b.m}; }
 
 inline VecD widen_low(VecF x) { return {static_cast<double>(x.v)}; }
@@ -529,48 +467,6 @@ inline constexpr bool kHasSimd = VecF::kWidth > 1;
 /// -0.0/+0.0 - resolve to the FIRST operand, exactly as scalar code does.
 inline VecD min_std(VecD a, VecD b) { return select(cmp_lt(b, a), b, a); }
 inline VecD max_std(VecD a, VecD b) { return select(cmp_lt(a, b), b, a); }
-inline VecF min_std(VecF a, VecF b) { return select(cmp_lt(b, a), b, a); }
-inline VecF max_std(VecF a, VecF b) { return select(cmp_lt(a, b), b, a); }
-
-struct ArgMin {
-  float value = 0.0f;
-  std::size_t index = 0;
-};
-
-/// First-minimum scan: returns the smallest element and the lowest index
-/// attaining it (the exact result of the scalar `for` scan with a strict <).
-/// n must be >= 1. Vectorized per lane with a strict-< update so each lane
-/// keeps its earliest minimum; the horizontal step prefers the smallest index
-/// among lanes tied on the value.
-inline ArgMin argmin_first(const float* x, std::size_t n) {
-  constexpr std::size_t W = VecF::kWidth;
-  constexpr float kFill = __builtin_huge_valf();
-  VecF best = VecF::load_partial(x, n, kFill);
-  VecI32 best_idx = VecI32::iota();
-  VecI32 idx = best_idx;
-  const VecI32 step = VecI32::broadcast(static_cast<std::int32_t>(W));
-  for (std::size_t i = W; i < n; i += W) {
-    idx = idx + step;
-    const std::size_t left = n - i;
-    const VecF v = left >= W ? VecF::load(x + i) : VecF::load_partial(x + i, left, kFill);
-    const MaskF lt = cmp_lt(v, best);
-    best = select(lt, v, best);
-    best_idx = select(lt, idx, best_idx);
-  }
-  float vals[W];
-  std::int32_t idxs[W];
-  best.store(vals);
-  best_idx.store(idxs);
-  ArgMin out{vals[0], static_cast<std::size_t>(idxs[0])};
-  for (std::size_t l = 1; l < W; ++l) {
-    const auto li = static_cast<std::size_t>(idxs[l]);
-    if (vals[l] < out.value || (vals[l] == out.value && li < out.index)) {
-      out.value = vals[l];
-      out.index = li;
-    }
-  }
-  return out;
-}
 
 /// Horizontal sum in ascending-lane order (deterministic for a given
 /// backend; lane count differs across backends, so cross-backend sums may

@@ -178,79 +178,4 @@ std::string to_json(const Snapshot& snap) {
   return out.str();
 }
 
-// --- Trace spans ----------------------------------------------------------
-
-#if EVVO_TELEMETRY_ENABLED
-
-namespace {
-
-/// The global trace ring. Slots are per-field relaxed atomics so writers
-/// stay lock-free and readers race benignly (a torn event mixes fields but
-/// is never undefined behavior). next_slot hands out positions modulo size.
-struct TraceRing {
-  struct Slot {
-    std::atomic<const char*> name{nullptr};
-    std::atomic<std::uint64_t> start_ns{0};
-    std::atomic<std::uint64_t> duration_ns{0};
-    std::atomic<int> depth{0};
-  };
-  explicit TraceRing(std::size_t n) : slots(n) {}
-  std::vector<Slot> slots;
-  std::atomic<std::uint64_t> next_slot{0};
-};
-
-/// Swapped only while quiescent (set_trace_capacity's contract); the old
-/// ring is intentionally leaked so a straggling span can never touch freed
-/// memory.
-std::atomic<TraceRing*> g_trace_ring{nullptr};
-
-thread_local int t_span_depth = 0;
-
-}  // namespace
-
-namespace detail {
-
-int span_enter() { return t_span_depth++; }
-
-void span_exit(const char* name, std::uint64_t start_ns, std::uint64_t duration_ns, int depth) {
-  --t_span_depth;
-  TraceRing* ring = g_trace_ring.load(std::memory_order_acquire);
-  if (ring == nullptr) return;
-  // The slot index orders nothing; it only spreads writers over the ring.
-  // evvo-lint: allow(atomics-misuse)
-  const std::uint64_t ticket = ring->next_slot.fetch_add(1, std::memory_order_relaxed);
-  TraceRing::Slot& slot = ring->slots[ticket % ring->slots.size()];
-  slot.start_ns.store(start_ns, std::memory_order_relaxed);
-  slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
-  slot.depth.store(depth, std::memory_order_relaxed);
-  slot.name.store(name, std::memory_order_release);  // name != nullptr marks the slot live
-}
-
-}  // namespace detail
-
-void set_trace_capacity(std::size_t n) {
-  g_trace_ring.store(n == 0 ? nullptr : new TraceRing(n), std::memory_order_release);
-}
-
-std::vector<TraceEvent> trace_events() {
-  std::vector<TraceEvent> out;
-  TraceRing* ring = g_trace_ring.load(std::memory_order_acquire);
-  if (ring == nullptr) return out;
-  const std::uint64_t end = ring->next_slot.load(std::memory_order_relaxed);
-  const std::uint64_t size = ring->slots.size();
-  const std::uint64_t begin = end > size ? end - size : 0;
-  out.reserve(static_cast<std::size_t>(end - begin));
-  for (std::uint64_t t = begin; t < end; ++t) {
-    const TraceRing::Slot& slot = ring->slots[t % size];
-    const char* name = slot.name.load(std::memory_order_acquire);
-    if (name == nullptr) continue;  // claimed but not yet written
-    out.push_back(TraceEvent{name, slot.start_ns.load(std::memory_order_relaxed),
-                             slot.duration_ns.load(std::memory_order_relaxed),
-                             slot.depth.load(std::memory_order_relaxed)});
-  }
-  return out;
-}
-
-#endif  // EVVO_TELEMETRY_ENABLED
-
 }  // namespace evvo::telemetry

@@ -13,11 +13,10 @@
 //     histograms merge (or diff) bucket-wise — evvo_stat relies on both.
 //     Relative bucket width is 1/16 (6.25%), the error bound the
 //     histogram-vs-sorted-vector property test asserts.
-//   - TraceSpan is an RAII scope: constructed it stamps common::now_ns() and
-//     pushes onto a thread-local span stack; destructed it records the
-//     duration into its histogram and appends to the optional global trace
-//     ring (disabled until set_trace_capacity()). With EVVO_TELEMETRY=OFF
-//     spans compile to empty objects — no clock reads anywhere in the tree.
+//   - TraceSpan is an RAII scope: constructed it stamps common::now_ns();
+//     destructed it records the duration into its histogram. With
+//     EVVO_TELEMETRY=OFF spans compile to empty objects — no clock reads
+//     anywhere in the tree.
 //   - The registry maps names to metrics under a common::Mutex at
 //     LockRank::kTelemetryRegistry. Only registration and snapshot take the
 //     lock; every update on a registered metric is atomic. Call sites cache
@@ -25,7 +24,7 @@
 //     state never touches the registry map.
 //
 // What EVVO_TELEMETRY=OFF removes: every TraceSpan and Stopwatch (and with
-// them every clock read) and the trace ring. Counters, gauges, and the Histogram class
+// them every clock read). Counters, gauges, and the Histogram class
 // itself stay live in OFF builds because they double as service statistics —
 // cloud::PlanService's stats() identity is behavior, not optional telemetry —
 // and their cost is a relaxed add. The expensive part of observability is
@@ -242,47 +241,28 @@ std::string to_json(const Snapshot& snap);
 
 // --- Trace spans ----------------------------------------------------------
 
-/// One completed span, as read back from the trace ring.
-struct TraceEvent {
-  const char* name = nullptr;
-  std::uint64_t start_ns = 0;
-  std::uint64_t duration_ns = 0;
-  int depth = 0;  ///< nesting depth on its thread (0 = outermost)
-};
-
 #if EVVO_TELEMETRY_ENABLED
 
-namespace detail {
-int span_enter();
-void span_exit(const char* name, std::uint64_t start_ns, std::uint64_t duration_ns, int depth);
-}  // namespace detail
-
-/// RAII scope: stamps the clock on entry, records the elapsed ns into
-/// `hist` on exit, and appends to the trace ring when one is enabled.
-/// `name` must outlive the ring (string literals; registry-owned names).
+/// RAII scope: stamps the clock on entry and records the elapsed ns into
+/// `hist` on exit. `name` labels the span at its call site; nothing stores
+/// it yet.
 class TraceSpan {
  public:
-  TraceSpan(Histogram& hist, const char* name) noexcept
-      : hist_(&hist), name_(name), start_(common::now_ns()), depth_(detail::span_enter()) {}
-  ~TraceSpan() {
-    const std::uint64_t duration = common::now_ns() - start_;
-    hist_->record(duration);
-    detail::span_exit(name_, start_, duration, depth_);
-  }
+  TraceSpan(Histogram& hist, const char* /*name*/) noexcept
+      : hist_(&hist), start_(common::now_ns()) {}
+  ~TraceSpan() { hist_->record(common::now_ns() - start_); }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
   Histogram* hist_;
-  const char* name_;
   std::uint64_t start_;
-  int depth_;
 };
 
 /// One start, many ends: stamps the clock on construction, and each
 /// record() stores the ns elapsed since then into `hist`. For latencies that
 /// share an origin but end at different points (every group a call serves,
-/// timed from call entry); unlike TraceSpan it writes no trace event.
+/// timed from call entry).
 class Stopwatch {
  public:
   Stopwatch() noexcept : start_(common::now_ns()) {}
@@ -291,15 +271,6 @@ class Stopwatch {
  private:
   std::uint64_t start_;
 };
-
-/// Sizes (n > 0) or disables (n == 0) the global trace ring. Not
-/// thread-safe against concurrent spans: call while quiescent (startup,
-/// test fixtures). The ring keeps the most recent `n` completed spans.
-void set_trace_capacity(std::size_t n);
-
-/// The ring's completed spans, oldest first. Relaxed per-field reads: an
-/// event racing a writer may mix fields, exact once writers are quiescent.
-std::vector<TraceEvent> trace_events();
 
 #else  // EVVO_TELEMETRY_ENABLED
 
@@ -316,9 +287,6 @@ class Stopwatch {
  public:
   void record(Histogram&) const {}
 };
-
-inline void set_trace_capacity(std::size_t) {}
-inline std::vector<TraceEvent> trace_events() { return {}; }
 
 #endif  // EVVO_TELEMETRY_ENABLED
 

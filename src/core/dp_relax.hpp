@@ -1,13 +1,13 @@
-// Interface of the DP stripe relaxation kernel: the hot loop of
-// DpEngine::relax_stripe (core/dp_solver.cpp) over plain pointers and
+// Interface of the DP relaxation kernel: the hot loop of
+// DpEngine::run_kernel (core/dp_solver.cpp) over plain pointers and
 // scalars, so that one body (core/dp_relax_kernel.hpp) can be compiled once
 // per instruction set and chosen at run time.
 //
-//  - detail::base::relax_stripe lives in dp_relax_base.cpp, built with the
+//  - detail::base::relax_kernel lives in dp_relax_base.cpp, built with the
 //    tree's flags: SSE2 or NEON vectors, or the scalar backend when
 //    EVVO_SIMD is OFF (the AVX2 backend when EVVO_SIMD_ARCH=avx2 retargets
 //    the whole tree).
-//  - detail::avx2::relax_stripe lives in dp_relax_avx2.cpp, built with
+//  - detail::avx2::relax_kernel lives in dp_relax_avx2.cpp, built with
 //    -mavx2, and exists only on x86-64 builds with EVVO_SIMD=ON and an empty
 //    EVVO_SIMD_ARCH (EVVO_DP_AVX2_KERNEL is then defined for dp_solver.cpp).
 //    solve_dp calls it when the running CPU reports AVX2.
@@ -46,15 +46,13 @@ struct RevHop {
   float dt = 0.0f;
 };
 
-/// Everything one stripe relaxation reads. Destination pointers address
-/// layer i + 1, whose rows [j2_begin, j2_end) the caller has already reset
-/// to +inf; source arrays are the gathered, sentinel-padded list of layer i.
-struct StripeArgs {
+/// Everything one layer's relaxation reads. Destination pointers address
+/// layer i + 1, which the caller has already reset to +inf; source arrays
+/// are the gathered, sentinel-padded list of layer i.
+struct RelaxArgs {
   float* cost;
   float* time;
   std::uint32_t* back;
-  std::size_t j2_begin;
-  std::size_t j2_end;
   std::size_t n_v;
   std::size_t n_t;
   std::size_t j_dest;
@@ -85,8 +83,8 @@ struct StripeArgs {
   const float* bin_edge; ///< n_t + 1 float bin edges (vector scan only)
 };
 
-/// Work done by one stripe relaxation.
-struct StripeCounts {
+/// Work done by one layer's relaxation.
+struct RelaxCounts {
   std::size_t relaxations;
   std::size_t simd_chunks;  ///< vector iterations taken
   std::size_t lanes_used;   ///< lanes that survived the stop mask
@@ -95,11 +93,11 @@ struct StripeCounts {
 };
 
 namespace base {
-StripeCounts relax_stripe(const StripeArgs& args);
+RelaxCounts relax_kernel(const RelaxArgs& args);
 }  // namespace base
 
 namespace avx2 {
-StripeCounts relax_stripe(const StripeArgs& args);
+RelaxCounts relax_kernel(const RelaxArgs& args);
 }  // namespace avx2
 
 }  // namespace detail

@@ -1,4 +1,4 @@
-// AVX2 copy of the DP stripe relaxation kernel. src/core/CMakeLists.txt
+// AVX2 copy of the DP relaxation kernel. src/core/CMakeLists.txt
 // builds this file alone with -mavx2, and solve_dp calls it only on CPUs
 // that report AVX2 (see core/dp_relax.hpp for the rules this TU keeps).
 #define EVVO_RELAX_NS avx2

@@ -1,4 +1,4 @@
-// Body of the DP stripe relaxation kernel (interface: core/dp_relax.hpp).
+// Body of the DP relaxation kernel (interface: core/dp_relax.hpp).
 //
 // Not an ordinary header: each kernel TU defines EVVO_RELAX_NS to its
 // namespace name and includes this file exactly once, compiling the body
@@ -6,7 +6,7 @@
 // (dp_relax_base.cpp: the tree's baseline; dp_relax_avx2.cpp: -mavx2). The
 // body follows the kernel-TU rule in dp_relax.hpp: helpers have internal
 // linkage, and nothing from the standard library is called, so the only
-// external or weak symbols are this namespace's relax_stripe and the
+// external or weak symbols are this namespace's relax_kernel and the
 // ISA-namespaced inline functions of common/simd.hpp.
 #pragma once
 
@@ -31,7 +31,7 @@ namespace sd = common::simd;
 /// Masked compare-exchange of W consecutive cells (the vector form of the
 /// scalar strict-< relaxation): each lane in `lanes` whose candidate cost
 /// beats its cell takes (cost, arrival, backpointer); every other cell is
-/// written back as it was, so all W cells must lie in a row the caller owns.
+/// written back as it was, so all W cells must lie in the destination row.
 inline void compare_exchange(float* cost, float* time, std::uint32_t* back, sd::MaskF lanes,
                              sd::VecF cand, sd::VecF arrive, sd::VecI32 pred) {
   const sd::VecF cur = sd::VecF::load(cost);
@@ -44,7 +44,7 @@ inline void compare_exchange(float* cost, float* time, std::uint32_t* back, sd::
 
 }  // namespace
 
-StripeCounts relax_stripe(const StripeArgs& args) {
+RelaxCounts relax_kernel(const RelaxArgs& args) {
   // Everything is copied out of `args` first: the destination rows are
   // float stores, which the compiler must otherwise assume may alias the
   // struct's float and pointer fields and reload them every iteration.
@@ -98,7 +98,7 @@ StripeCounts relax_stripe(const StripeArgs& args) {
   float cost_buf[W];
   std::int32_t k2_buf[2 * Dw];  // == W on vector backends; 2 on scalar (dead path)
 
-  for (std::size_t j2 = args.j2_begin; j2 < args.j2_end; ++j2) {
+  for (std::size_t j2 = 0; j2 < n_v; ++j2) {
     const double v2 = static_cast<double>(j2) * dv_ms;
     if (v2 > next_limit + 1e-9) continue;
     if (next_is_sign && j2 != 0) continue;       // stop signs: arrive stopped
@@ -145,8 +145,8 @@ StripeCounts relax_stripe(const StripeArgs& args) {
           // targets cell b + l + up_l, so two lanes can share a cell only
           // when an up lane l meets a not-up lane l + 1. Exchanging the up
           // lanes first and the rest second therefore replays the scalar
-          // source order exactly. Both passes stay inside [b, b + W] of this
-          // stripe's own row, hence the b + 1 + W <= n_t bound.
+          // source order exactly. Both passes stay inside [b, b + W] of
+          // destination row j2, hence the b + 1 + W <= n_t bound.
           if (fast_path && n == W && over == 0 && src_pred[s + W - 1] - src_pred[s] == W - 1) {
             const std::size_t b = (src_pred[s] & kPredBinMask) + shift;
             if (b + 1 + W <= n_t) {
@@ -233,7 +233,7 @@ StripeCounts relax_stripe(const StripeArgs& args) {
       }
     }
   }
-  return StripeCounts{relaxations, simd_chunks, simd_lanes_used, fast_chunks, W};
+  return RelaxCounts{relaxations, simd_chunks, simd_lanes_used, fast_chunks, W};
 }
 
 }  // namespace evvo::core::detail::EVVO_RELAX_NS

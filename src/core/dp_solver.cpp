@@ -8,7 +8,6 @@
 
 #include "common/simd.hpp"
 #include "common/telemetry.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "core/dp_common.hpp"
 #include "core/dp_extract.hpp"
@@ -212,13 +211,12 @@ namespace detail {
 /// One solve over a workspace. Per layer, the live (velocity, time-bin)
 /// cells are gathered into a compact source list (costs, times, window
 /// membership, and packed backpointers precomputed) and only those are
-/// relaxed; destination rows are lazily reset to +inf just before a stripe
-/// relaxes into them, so no full-grid clear ever happens.
+/// relaxed; each destination layer is lazily reset to +inf just before the
+/// kernel relaxes into it, so no full-grid clear ever happens.
 class DpEngine {
  public:
-  DpEngine(const DpProblem& problem, DpWorkspace& ws, common::ThreadPool* pool,
-           DpKernel kernel)
-      : problem_(problem), ws_(ws), pool_(pool), route_(*problem.route),
+  DpEngine(const DpProblem& problem, DpWorkspace& ws, DpKernel kernel)
+      : problem_(problem), ws_(ws), route_(*problem.route),
         energy_(*problem.energy), res_(problem.resolution), kernel_(kernel) {}
 
   std::optional<DpSolution> run();
@@ -229,14 +227,13 @@ class DpEngine {
 
   void reset_state();
   bool relax_layer(std::size_t i);  // false: layer empty, solve infeasible
-  void relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_end, std::size_t stripe);
+  void run_kernel(std::size_t i);  // relaxes layer i's source list into layer i + 1
   std::optional<DpSolution> extract_solution();
 
   std::size_t cell_of(std::size_t j, std::size_t k) const { return j * n_t_ + k; }
 
   const DpProblem& problem_;
   DpWorkspace& ws_;
-  common::ThreadPool* pool_;
   const road::Route& route_;
   const ev::EnergyModel& energy_;
   const DpResolution& res_;
@@ -270,13 +267,12 @@ class DpEngine {
   std::ptrdiff_t last_window_layer_ = -1;
   std::vector<float> smooth_by_diff_;  ///< smoothness cost per |j2 - j|
 
-  std::vector<std::size_t> stripe_relaxations_;
   DpStats stats_;
 };
 
 void DpEngine::reset_state() {
-  // No grid-wide clear: each destination row is reset to +inf by the stripe
-  // that relaxes into it, and time_/back_ are only ever read behind a finite
+  // No grid-wide clear: each destination layer is reset to +inf just before
+  // it is relaxed into, and time_/back_ are only ever read behind a finite
   // cost, so stale contents from earlier solves are unreachable.
   const std::size_t need = n_layers_ * layer_size_;
   ws_.cost_.grow_to(need);
@@ -383,11 +379,6 @@ std::optional<DpSolution> DpEngine::run() {
   stats_.velocity_levels = n_v_;
   stats_.time_bins = n_t_;
 
-  const std::size_t width = pool_ ? std::min<std::size_t>(pool_->thread_count(),
-                                                          common::ThreadPool::resolve_threads(res_.threads))
-                                  : 1;
-  stripe_relaxations_.assign(std::max<std::size_t>(width, 1), 0);
-
   bool feasible = true;
   for (std::size_t i = 0; i + 1 < n_layers_; ++i) {
     if (!relax_layer(i)) {
@@ -395,8 +386,6 @@ std::optional<DpSolution> DpEngine::run() {
       break;
     }
   }
-
-  for (const std::size_t count : stripe_relaxations_) stats_.relaxations += count;
 
   // Fleet-level work counters (registry only, never DpStats: the stats struct
   // is part of the SIMD-vs-scalar bit-identity contract). Pushed even for
@@ -411,7 +400,7 @@ std::optional<DpSolution> DpEngine::run() {
   if (!feasible) return std::nullopt;
   if (problem_.checksum_tables) {
     // Every cell of every layer was initialized (layer 0 by the full fill,
-    // later layers by the stripes' lazy row resets), so the finite-cell scan
+    // later layers by the lazy reset before each relaxation), so the finite-cell scan
     // never reads stale cost values.
     stats_.table_checksum = detail::checksum_state_tables(
         n_layers_, n_v_, n_t_, ws_.cost_.data(), ws_.time_.data(), ws_.back_.data());
@@ -526,7 +515,7 @@ bool DpEngine::relax_layer(std::size_t i) {
   stats_.frontier_states += n_src;
   // An empty layer can never be recovered from (later layers are fed only
   // from here), so the solve is infeasible and the sweep stops; stopping
-  // before the stripes also keeps the next layer's rows from being read
+  // before the relaxation also keeps the next layer's rows from being read
   // uninitialized.
   if (n_src == 0) return false;
 
@@ -544,49 +533,27 @@ bool DpEngine::relax_layer(std::size_t i) {
     ++n;
   }
 
-  // Gather relaxation into layer i+1 over destination-velocity stripes; each
-  // stripe owns a disjoint range of destination rows (which it first resets
-  // to +inf), so stripes never write the same cell and may run on any number
-  // of threads.
-  const std::size_t n_stripes =
-      std::max<std::size_t>(1, std::min(stripe_relaxations_.size(), n_v_));
-  const auto run_stripe = [&](std::size_t s) {
-    const std::size_t j2_begin = s * n_v_ / n_stripes;
-    const std::size_t j2_end = (s + 1) * n_v_ / n_stripes;
-    relax_stripe(i, j2_begin, j2_end, s);
-  };
-  if (pool_ && n_stripes > 1) {
-    pool_->parallel_for(n_stripes, run_stripe);
-  } else {
-    for (std::size_t s = 0; s < n_stripes; ++s) run_stripe(s);
-  }
+  // Gather relaxation into layer i+1, every destination row in one kernel
+  // call.
+  run_kernel(i);
   return true;
 }
 
-void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_end,
-                            std::size_t stripe) {
-  // Per-stripe wall time; runs on pool workers, so the histogram sees one
-  // sample per (layer, stripe) and its spread exposes stripe imbalance.
-  static telemetry::Histogram& stripe_hist = telemetry::histogram("dp.stripe_relax_ns");
-  const telemetry::TraceSpan stripe_span(stripe_hist, "dp.stripe_relax");
-
+void DpEngine::run_kernel(std::size_t i) {
   const LayerEvent* event = event_at_[i];
   const LayerEvent* next_event = event_at_[i + 1];
   const std::size_t table_base = static_cast<std::size_t>(ws_.layer_class_[i]) * n_v_ * n_v_;
   const std::size_t next_base = (i + 1) * layer_size_;
   float* cost = ws_.cost_.data() + next_base;
 
-  // Lazy reset: this stripe owns rows [j2_begin, j2_end) of layer i + 1, so
-  // it clears exactly those before relaxing into them. (No memset: +inf is
-  // not a repeated-byte pattern.)
-  std::fill(cost + j2_begin * n_t_, cost + j2_end * n_t_, kInf);
+  // Lazy reset: layer i + 1 is cleared just before it is relaxed into. (No
+  // memset: +inf is not a repeated-byte pattern.)
+  std::fill(cost, cost + layer_size_, kInf);
 
-  const StripeArgs args{
+  const RelaxArgs args{
       .cost = cost,
       .time = ws_.time_.data() + next_base,
       .back = ws_.back_.data() + next_base,
-      .j2_begin = j2_begin,
-      .j2_end = j2_end,
       .n_v = n_v_,
       .n_t = n_t_,
       .j_dest = j_dest_,
@@ -617,15 +584,15 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
       .bin_edge = bin_edge_.data(),
   };
 #if defined(EVVO_DP_AVX2_KERNEL)
-  const StripeCounts done =
-      kernel_ == DpKernel::kAvx2 ? avx2::relax_stripe(args) : base::relax_stripe(args);
+  const RelaxCounts done =
+      kernel_ == DpKernel::kAvx2 ? avx2::relax_kernel(args) : base::relax_kernel(args);
 #else
-  const StripeCounts done = base::relax_stripe(args);
+  const RelaxCounts done = base::relax_kernel(args);
 #endif
-  stripe_relaxations_[stripe] += done.relaxations;
+  stats_.relaxations += done.relaxations;
 
   // Lane utilization = used / capacity. Local accumulation in the kernel
-  // keeps its inner loop free of atomics; one add per stripe lands in the
+  // keeps its inner loop free of atomics; one add per layer lands in the
   // registry.
   if (done.simd_chunks != 0) {
     static telemetry::Counter& lanes_used_ctr = telemetry::counter("dp.simd_lanes_used");
@@ -647,13 +614,12 @@ std::optional<DpSolution> DpEngine::extract_solution() {
 
 std::optional<DpSolution> solve_dp(const DpProblem& problem) {
   DpWorkspace workspace;
-  return solve_dp(problem, workspace, nullptr);
+  return solve_dp(problem, workspace);
 }
 
-std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace,
-                                   common::ThreadPool* pool) {
+std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace) {
   problem.validate();
-  detail::DpEngine engine(problem, workspace, pool, best_kernel());
+  detail::DpEngine engine(problem, workspace, best_kernel());
   return engine.run();
 }
 
@@ -669,13 +635,13 @@ std::vector<DpKernelInfo> dp_kernels() {
 }
 
 std::optional<DpSolution> solve_dp_with_kernel(const DpProblem& problem, DpWorkspace& workspace,
-                                               common::ThreadPool* pool, DpKernel kernel) {
+                                               DpKernel kernel) {
   const std::vector<DpKernelInfo> kernels = dp_kernels();
   if (std::none_of(kernels.begin(), kernels.end(),
                    [kernel](const DpKernelInfo& k) { return k.kernel == kernel; }))
     throw std::invalid_argument("solve_dp_with_kernel: kernel not available on this build/CPU");
   problem.validate();
-  DpEngine engine(problem, workspace, pool, kernel);
+  DpEngine engine(problem, workspace, kernel);
   return engine.run();
 }
 

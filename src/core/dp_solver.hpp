@@ -31,10 +31,10 @@
 //    smoothness regularizer are pre-added into one flat table with the same
 //    float rounding sequence as the naive inner loop, making the relaxation
 //    a pure load-add-compare.
-//  - Gather parallelism: the per-layer relaxation is partitioned over
-//    destination-velocity stripes; each worker owns a disjoint range of
-//    destination rows and scans source states, so no two threads ever write
-//    the same cell and results are bit-identical at every thread count.
+//  - Gather relaxation: each layer is relaxed in one kernel call on the
+//    caller's thread, destination row by destination row, each row scanning
+//    the source states that can reach it. Concurrency comes from concurrent
+//    callers (PlanService, fleetbench clients), each on its own workspace.
 //  - SIMD relaxation: away from enforced signal windows the inner source
 //    scan runs one vector of states per step (common/simd.hpp). The arrival
 //    time, horizon test, and candidate cost are computed lane-wise with
@@ -72,10 +72,6 @@
 #include "road/route.hpp"
 #include "road/signals.hpp"
 
-namespace evvo::common {
-class ThreadPool;
-}
-
 namespace evvo::core {
 
 namespace detail {
@@ -88,9 +84,9 @@ struct DpResolution {
   double dv_ms = 0.5;      ///< velocity quantum
   double dt_s = 1.0;       ///< time-bin width (continuous times are still propagated)
   double horizon_s = 450.0;///< maximum trip duration considered
-  /// Worker threads for the per-layer relaxation; 0 = hardware_concurrency.
-  /// Any value yields bit-identical solutions (gather formulation); 1 runs
-  /// the serial path with no pool involvement at all.
+  /// Read by nothing: every solve runs on its caller's thread. Kept only
+  /// because fleetbench/src/scenario.cpp assigns it; it goes with the
+  /// benchmark's next change.
   unsigned threads = 0;
 
   void validate() const;
@@ -180,8 +176,8 @@ struct [[nodiscard]] DpSolution {
 /// The state tables are the dominant per-solve cost of the naive solver
 /// (three multi-megabyte allocations plus an O(N) infinity fill). A
 /// workspace keeps them allocated across solves and skips the grid-wide
-/// clear: each destination row is reset to +inf by the stripe that relaxes
-/// into it, and time_/back_ are only ever read behind a finite cost, so no
+/// clear: each destination layer is reset to +inf just before it is relaxed
+/// into, and time_/back_ are only ever read behind a finite cost, so no
 /// cell is ever read stale. The model tables (feasible hops
 /// per velocity level, per-grade-class transition costs) are cached across
 /// solves and rebuilt only when the route geometry, energy model, or
@@ -196,7 +192,7 @@ namespace detail {
 /// Growable buffer that never value-initializes: growing to N elements is
 /// one allocation, not an allocation plus an N-element memset. The DP state
 /// tables are tens of megabytes and every live cell is written before it is
-/// read (rows are +inf-filled by the relaxing stripe), so the zero-fill a
+/// read (layers are +inf-filled just before they are relaxed into), so the zero-fill a
 /// std::vector would do on first use is pure page-touching waste. Growth
 /// discards contents - callers grow only between solves.
 template <typename T>
@@ -264,7 +260,7 @@ class DpWorkspace {
   std::vector<std::uint32_t> layer_class_;  ///< hop layer -> grade class index
   std::vector<double> layer_limit_;         ///< per-layer posted speed limit
 
-  // --- per-solve state (rows reset lazily by the relaxing stripe) ---
+  // --- per-solve state (each layer reset lazily before it is relaxed into) ---
   detail::UninitBuffer<float> cost_;
   detail::UninitBuffer<float> time_;
   detail::UninitBuffer<std::uint32_t> back_;
@@ -284,15 +280,11 @@ class DpWorkspace {
 
 /// Runs the DP. Returns std::nullopt only if no feasible trajectory reaches
 /// the destination within the horizon. This overload allocates a throwaway
-/// workspace and runs serially.
+/// workspace.
 [[nodiscard]] std::optional<DpSolution> solve_dp(const DpProblem& problem);
 
-/// As above, reusing `workspace` across calls. If `pool` is non-null and
-/// problem.resolution.threads resolves to more than one thread, the
-/// per-layer relaxation runs on the pool; the result is bit-identical to the
-/// serial sweep either way.
-[[nodiscard]] std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace,
-                                   common::ThreadPool* pool = nullptr);
+/// As above, reusing `workspace` across calls.
+[[nodiscard]] std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace);
 
 /// Name of the relaxation kernel solve_dp runs: "avx2", "sse2", "neon" or
 /// "scalar". Fixed for the process: it depends on the build and the running
@@ -324,7 +316,6 @@ struct DpKernelInfo {
 /// std::invalid_argument for a kernel dp_kernels() does not list.
 [[nodiscard]] std::optional<DpSolution> solve_dp_with_kernel(const DpProblem& problem,
                                                              DpWorkspace& workspace,
-                                                             common::ThreadPool* pool,
                                                              DpKernel kernel);
 
 }  // namespace detail

@@ -5,31 +5,10 @@
 #include <stdexcept>
 
 #include "common/math_util.hpp"
-#include "common/mutex.hpp"
-#include "common/thread_pool.hpp"
 #include "core/dp_common.hpp"
 #include "core/workspace_pool.hpp"
 
 namespace evvo::core {
-
-/// Shared across planner copies: workspaces (keyed by route-content affinity
-/// so solves of the same route reuse its model tables; see
-/// core/workspace_pool.hpp) are checked out per call, and the relaxation
-/// pool is created on first use. The configured thread count is fixed at
-/// construction, so the pool never needs resizing.
-struct VelocityPlanner::Runtime {
-  common::Mutex runtime_mutex{common::LockRank::kPlannerRuntime};
-  WorkspacePool workspaces;
-  std::unique_ptr<common::ThreadPool> pool EVVO_GUARDED_BY(runtime_mutex);
-
-  common::ThreadPool* pool_for(unsigned thread_hint) EVVO_EXCLUDES(runtime_mutex) {
-    const unsigned want = common::ThreadPool::resolve_threads(thread_hint);
-    if (want <= 1) return nullptr;
-    common::MutexLock lock(runtime_mutex);
-    if (!pool) pool = std::make_unique<common::ThreadPool>(want);
-    return pool.get();
-  }
-};
 
 const char* signal_policy_name(SignalPolicy policy) {
   switch (policy) {
@@ -48,7 +27,7 @@ VelocityPlanner::VelocityPlanner(road::Corridor corridor, ev::EnergyModel energy
     : corridor_(std::move(corridor)),
       energy_(std::move(energy)),
       config_(std::move(config)),
-      runtime_(std::make_shared<Runtime>()) {
+      workspaces_(std::make_shared<WorkspacePool>()) {
   config_.resolution.validate();
   config_.penalty.validate();
 }
@@ -158,18 +137,17 @@ std::optional<DpSolution> VelocityPlanner::solve_problem(const DpProblem& proble
   // whose cached model tables already match. Cross-route checkouts still
   // reuse the allocations, they just rebuild the tables.
   const std::uint64_t affinity = detail::hash_route(*problem.route);
-  std::unique_ptr<WorkspacePool::Entry> entry = runtime_->workspaces.acquire(affinity);
-  common::ThreadPool* pool = runtime_->pool_for(config_.resolution.threads);
+  std::unique_ptr<WorkspacePool::Entry> entry = workspaces_->acquire(affinity);
   std::optional<DpSolution> solution;
   try {
-    solution = solve_dp(problem, entry->workspace, pool);
+    solution = solve_dp(problem, entry->workspace);
   } catch (...) {
     entry->affinity = affinity;
-    runtime_->workspaces.release(std::move(entry));
+    workspaces_->release(std::move(entry));
     throw;
   }
   entry->affinity = affinity;
-  runtime_->workspaces.release(std::move(entry));
+  workspaces_->release(std::move(entry));
   return solution;
 }
 

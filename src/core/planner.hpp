@@ -20,6 +20,8 @@
 
 namespace evvo::core {
 
+class WorkspacePool;
+
 enum class SignalPolicy {
   kQueueAware,
   kGreenWindow,
@@ -50,12 +52,11 @@ struct PlannerConfig {
   bool dominance_pruning = true;
 };
 
-/// The planner owns a small runtime shared by all copies of itself: a
-/// free-list of DpWorkspace (so repeated plans reuse the solver's state
-/// tables and cached cost model instead of reallocating ~tens of MB per
-/// call) and one lazily created thread pool sized from
-/// config.resolution.threads. plan()/replan() are safe to call concurrently;
-/// each call checks a workspace out of the free list for its duration.
+/// The planner owns a free-list of DpWorkspace shared by all copies of
+/// itself, so repeated plans reuse the solver's state tables and cached cost
+/// model instead of reallocating ~tens of MB per call. plan()/replan() are
+/// safe to call concurrently; each call checks a workspace out of the free
+/// list for its duration and solves on the calling thread.
 class VelocityPlanner {
  public:
   VelocityPlanner(road::Corridor corridor, ev::EnergyModel energy, PlannerConfig config = {});
@@ -102,16 +103,14 @@ class VelocityPlanner {
   [[nodiscard]] long speed_level(MetersPerSecond speed) const;
 
  private:
-  struct Runtime;
-
-  /// Checks out a workspace (and the shared pool), runs solve_dp, returns
-  /// the workspace. std::nullopt = infeasible.
+  /// Checks out a workspace, runs solve_dp, returns the workspace.
+  /// std::nullopt = infeasible.
   std::optional<DpSolution> solve_problem(const DpProblem& problem) const;
 
   road::Corridor corridor_;
   ev::EnergyModel energy_;
   PlannerConfig config_;
-  std::shared_ptr<Runtime> runtime_;
+  std::shared_ptr<WorkspacePool> workspaces_;
 };
 
 }  // namespace evvo::core

@@ -1,7 +1,7 @@
-// Parallel-solver equivalence: the stripe-parallel relaxation must produce
-// bit-identical plans at every thread count (gather formulation, see
-// dp_solver.hpp), workspaces must be reusable across solves, and dominance
-// pruning must agree with the exhaustive sweep on the optimal cost.
+// Solver equivalence under reuse and concurrency: dominance pruning must
+// agree with the exhaustive sweep, the US-25 tables and plan are pinned to a
+// golden file, workspaces must be reusable across solves, and concurrent
+// planner calls (each solving on its own thread) must agree with a lone one.
 #include "core/dp_solver.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <string>
 #include <thread>
 
-#include "common/thread_pool.hpp"
 #include "core/dp_common.hpp"
 #include "core/planner.hpp"
 #include "ev/energy_model.hpp"
@@ -62,26 +61,6 @@ bool profiles_bit_identical(const PlannedProfile& a, const PlannedProfile& b) {
 
 class ParallelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ParallelEquivalence, EveryThreadCountMatchesSerialBitForBit) {
-  Scenario scenario(GetParam());
-  const auto serial = solve_dp(scenario.problem);
-  ASSERT_TRUE(serial.has_value());
-
-  for (unsigned threads : {2u, 4u, 8u}) {
-    common::ThreadPool pool(threads);
-    DpWorkspace workspace;
-    scenario.problem.resolution.threads = threads;
-    const auto parallel = solve_dp(scenario.problem, workspace, &pool);
-    ASSERT_TRUE(parallel.has_value()) << "threads=" << threads;
-    EXPECT_TRUE(profiles_bit_identical(serial->profile, parallel->profile))
-        << "threads=" << threads;
-    EXPECT_EQ(serial->stats.best_cost_mah, parallel->stats.best_cost_mah);
-    EXPECT_EQ(serial->stats.relaxations, parallel->stats.relaxations);
-    EXPECT_EQ(serial->stats.frontier_states, parallel->stats.frontier_states);
-    EXPECT_EQ(serial->stats.pruned_states, parallel->stats.pruned_states);
-  }
-}
-
 TEST_P(ParallelEquivalence, DominancePruningAgreesWithExhaustiveSweep) {
   Scenario scenario(GetParam());
   scenario.problem.dominance_pruning = true;
@@ -103,8 +82,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,
 //
 // Pins the full DP state-table checksum (every finite-cost cell's cost,
 // arrival time, and backpointer) and an FNV-1a hash of the extracted profile
-// against a committed golden file. The same values must come out at every
-// thread count and in both pruning modes, so any change to relaxation order,
+// against a committed golden file. The profile and cost must come out the
+// same in both pruning modes, so any change to relaxation order,
 // float rounding, pruning, or backtracking shows up as a one-line diff here
 // before it can silently shift Fig. 6-8 numbers. Regenerate deliberately with
 //   EVVO_UPDATE_GOLDEN=1 ./test_dp_parallel
@@ -170,7 +149,7 @@ void write_golden(const Us25Golden& golden) {
   out << "best_cost_bits " << golden.best_cost_bits << "\n";
 }
 
-TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossThreadsAndPruning) {
+TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossPruningModes) {
   const road::Corridor corridor = road::make_us25_corridor();
   ev::EnergyModel energy;
   PlannerConfig cfg;
@@ -192,41 +171,28 @@ TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossThreadsAndPruning) {
   problem.events = planner.build_events(Seconds(problem.depart_time.value()), arrivals);
   problem.checksum_tables = true;
 
-  common::ThreadPool pool(8);
-  DpWorkspace workspace;
   Us25Golden computed;
   std::optional<PlannedProfile> first_profile;
   for (const bool pruning : {false, true}) {
     problem.dominance_pruning = pruning;
-    std::uint64_t mode_checksum = 0;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      problem.resolution.threads = threads;
-      const auto solution = threads == 1 ? solve_dp(problem) : solve_dp(problem, workspace, &pool);
-      ASSERT_TRUE(solution.has_value()) << "pruning=" << pruning << " threads=" << threads;
+    const auto solution = solve_dp(problem);
+    ASSERT_TRUE(solution.has_value()) << "pruning=" << pruning;
+    (pruning ? computed.pruned_checksum : computed.unpruned_checksum) =
+        solution->stats.table_checksum;
 
-      // Within a pruning mode, the state tables are bit-identical at every
-      // thread count; the extracted profile and cost match across modes too.
-      if (threads == 1) {
-        mode_checksum = solution->stats.table_checksum;
-      } else {
-        EXPECT_EQ(solution->stats.table_checksum, mode_checksum)
-            << "pruning=" << pruning << " threads=" << threads;
-      }
-      if (!first_profile) {
-        first_profile = solution->profile;
-        computed.profile_hash = hash_profile(solution->profile);
-        std::memcpy(&computed.best_cost_bits, &solution->stats.best_cost_mah,
-                    sizeof computed.best_cost_bits);
-      } else {
-        EXPECT_TRUE(profiles_bit_identical(*first_profile, solution->profile))
-            << "pruning=" << pruning << " threads=" << threads;
-        std::uint64_t cost_bits = 0;
-        std::memcpy(&cost_bits, &solution->stats.best_cost_mah, sizeof cost_bits);
-        EXPECT_EQ(cost_bits, computed.best_cost_bits)
-            << "pruning=" << pruning << " threads=" << threads;
-      }
+    // The extracted profile and cost match across pruning modes.
+    if (!first_profile) {
+      first_profile = solution->profile;
+      computed.profile_hash = hash_profile(solution->profile);
+      std::memcpy(&computed.best_cost_bits, &solution->stats.best_cost_mah,
+                  sizeof computed.best_cost_bits);
+    } else {
+      EXPECT_TRUE(profiles_bit_identical(*first_profile, solution->profile))
+          << "pruning=" << pruning;
+      std::uint64_t cost_bits = 0;
+      std::memcpy(&cost_bits, &solution->stats.best_cost_mah, sizeof cost_bits);
+      EXPECT_EQ(cost_bits, computed.best_cost_bits) << "pruning=" << pruning;
     }
-    (pruning ? computed.pruned_checksum : computed.unpruned_checksum) = mode_checksum;
   }
 
   if (std::getenv("EVVO_UPDATE_GOLDEN") != nullptr) {
@@ -243,11 +209,8 @@ TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossThreadsAndPruning) {
 }
 
 TEST(DpWorkspace, ReuseAcrossSolvesAndProblems) {
-  common::ThreadPool pool(4);
   DpWorkspace workspace;
   Scenario first(3), second(8, 120.0);
-  first.problem.resolution.threads = 4;
-  second.problem.resolution.threads = 4;
 
   const auto a1 = solve_dp(first.problem);
   const auto b1 = solve_dp(second.problem);
@@ -256,10 +219,10 @@ TEST(DpWorkspace, ReuseAcrossSolvesAndProblems) {
   // Interleave solves on one workspace: the generation-stamped reset and the
   // model-table cache must never leak state between problems.
   for (int round = 0; round < 3; ++round) {
-    const auto a2 = solve_dp(first.problem, workspace, &pool);
+    const auto a2 = solve_dp(first.problem, workspace);
     ASSERT_TRUE(a2.has_value());
     EXPECT_TRUE(profiles_bit_identical(a1->profile, a2->profile)) << "round " << round;
-    const auto b2 = solve_dp(second.problem, workspace, &pool);
+    const auto b2 = solve_dp(second.problem, workspace);
     ASSERT_TRUE(b2.has_value());
     EXPECT_TRUE(profiles_bit_identical(b1->profile, b2->profile)) << "round " << round;
   }

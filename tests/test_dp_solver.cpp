@@ -96,7 +96,6 @@ TEST(DpSolver, EdgeTableBinsNearlyEveryVectorChunkOfAColdUs25Solve) {
   problem.energy = &energy;
   problem.depart_time = Seconds(60.0);
   problem.resolution = cfg.resolution;
-  problem.resolution.threads = 1;
   problem.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
   problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
   problem.events = planner.build_events(
@@ -110,7 +109,7 @@ TEST(DpSolver, EdgeTableBinsNearlyEveryVectorChunkOfAColdUs25Solve) {
     const long fast0 = fast.value();
     const long capacity0 = capacity.value();
     DpWorkspace workspace;
-    ASSERT_TRUE((scalar ? detail::solve_dp_with_kernel(problem, workspace, nullptr,
+    ASSERT_TRUE((scalar ? detail::solve_dp_with_kernel(problem, workspace,
                                                        detail::DpKernel::kScalar)
                         : solve_dp(problem, workspace))
                     .has_value());
@@ -155,7 +154,6 @@ TEST(DpSolver, EveryKernelSolvesTheUs25GoldenProblemIdentically) {
   cfg.resolution.dv_ms = 1.0;
   cfg.resolution.dt_s = 1.0;
   cfg.resolution.horizon_s = 480.0;
-  cfg.resolution.threads = 1;
   const VelocityPlanner planner(corridor, energy, cfg);
   DpProblem problem;
   problem.route = &corridor.route;
@@ -177,12 +175,12 @@ TEST(DpSolver, EveryKernelSolvesTheUs25GoldenProblemIdentically) {
   for (const bool pruning : {false, true}) {
     problem.dominance_pruning = pruning;
     DpWorkspace workspace;
-    const auto scalar = detail::solve_dp_with_kernel(problem, workspace, nullptr,
-                                                     detail::DpKernel::kScalar);
+    const auto scalar =
+        detail::solve_dp_with_kernel(problem, workspace, detail::DpKernel::kScalar);
     ASSERT_TRUE(scalar.has_value());
     EXPECT_NE(scalar->stats.table_checksum, 0u);
     for (const detail::DpKernelInfo& kernel : kernels) {
-      const auto solution = detail::solve_dp_with_kernel(problem, workspace, nullptr, kernel.kernel);
+      const auto solution = detail::solve_dp_with_kernel(problem, workspace, kernel.kernel);
       ASSERT_TRUE(solution.has_value()) << kernel.name;
       EXPECT_TRUE(same_stats(solution->stats, scalar->stats))
           << kernel.name << " pruning=" << pruning << " checksum " << std::hex
@@ -203,13 +201,12 @@ TEST(DpSolver, UnavailableKernelIsRejected) {
     const bool listed = std::any_of(kernels.begin(), kernels.end(),
                                     [kernel](const auto& k) { return k.kernel == kernel; });
     if (listed) {
-      EXPECT_TRUE(detail::solve_dp_with_kernel(base_problem(route, energy), workspace, nullptr,
-                                               kernel)
-                      .has_value());
+      EXPECT_TRUE(
+          detail::solve_dp_with_kernel(base_problem(route, energy), workspace, kernel).has_value());
     } else {
-      EXPECT_THROW((void)detail::solve_dp_with_kernel(base_problem(route, energy), workspace,
-                                                      nullptr, kernel),
-                   std::invalid_argument);
+      EXPECT_THROW(
+          (void)detail::solve_dp_with_kernel(base_problem(route, energy), workspace, kernel),
+          std::invalid_argument);
     }
   }
 }

@@ -1,6 +1,6 @@
 // Telemetry layer: counter sharding, log-linear histogram bucket math, the
-// percentile-vs-sorted-vector error bound, fake-clock trace spans, the trace
-// ring, the registry, and both exporters. The span tests drive time through
+// percentile-vs-sorted-vector error bound, fake-clock trace spans, the
+// registry, and the JSON exporter. The span tests drive time through
 // ScopedFakeClock so recorded durations are exact, not sleep-and-hope.
 #include "common/telemetry.hpp"
 
@@ -184,47 +184,6 @@ TEST(TelemetrySpan, FakeClockMakesDurationsExact) {
   } else {
     EXPECT_EQ(h.count(), 0u);  // OFF builds: spans are no-ops
   }
-}
-
-TEST(TelemetrySpan, TraceRingRecordsDepthAndWraps) {
-  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry OFF build";
-  Histogram& h = telemetry::histogram("tst.span.ring_ns");
-  common::ScopedFakeClock clock(0);
-  telemetry::set_trace_capacity(4);
-
-  {
-    const telemetry::TraceSpan outer(h, "tst.outer");
-    clock.advance_ns(10);
-    {
-      const telemetry::TraceSpan inner(h, "tst.inner");
-      clock.advance_ns(5);
-    }
-    clock.advance_ns(10);
-  }
-  std::vector<telemetry::TraceEvent> events = telemetry::trace_events();
-  ASSERT_EQ(events.size(), 2u);
-  // Inner completes (and lands in the ring) first; depth counts nesting.
-  EXPECT_STREQ(events[0].name, "tst.inner");
-  EXPECT_EQ(events[0].duration_ns, 5u);
-  EXPECT_EQ(events[0].depth, 1);
-  EXPECT_STREQ(events[1].name, "tst.outer");
-  EXPECT_EQ(events[1].duration_ns, 25u);
-  EXPECT_EQ(events[1].depth, 0);
-
-  // Six more spans through a capacity-4 ring keep only the latest four.
-  for (int i = 0; i < 6; ++i) {
-    const telemetry::TraceSpan span(h, "tst.wrap");
-    clock.advance_ns(static_cast<std::uint64_t>(i) + 1);
-  }
-  events = telemetry::trace_events();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_STREQ(events[i].name, "tst.wrap");
-    EXPECT_EQ(events[i].duration_ns, i + 3);  // oldest first: durations 3..6
-  }
-
-  telemetry::set_trace_capacity(0);
-  EXPECT_TRUE(telemetry::trace_events().empty());
 }
 
 TEST(TelemetryExport, JsonShape) {

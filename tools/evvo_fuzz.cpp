@@ -1,7 +1,7 @@
 // Scenario-fuzz driver for the correctness harness (src/check).
 //
 // Generates seed-reproducible scenarios, runs the full invariant battery on
-// each (differential oracle, thread/pruning identity, feasibility, window
+// each (differential oracle, kernel identity, pruning, feasibility, window
 // compliance, energy accounting, microsim replay), shrinks any failure to a
 // minimal spec, and prints a one-line replay command. Exits nonzero when any
 // scenario violates an invariant.
@@ -11,20 +11,22 @@
 //   evvo_fuzz --inject window-shift     # prove the harness catches a fault
 //   evvo_fuzz --replay-spec bad.spec    # re-check a shrunk spec file
 //   evvo_fuzz --simd-only --count 100   # cheap every-kernel identity sweep
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/invariants.hpp"
 #include "check/scenario.hpp"
 #include "check/shrink.hpp"
 #include "common/clock.hpp"
-#include "common/thread_pool.hpp"
 #include "core/dp_solver.hpp"
 
 namespace {
@@ -33,7 +35,7 @@ struct Options {
   std::size_t count = 50;
   std::uint64_t seed_start = 1;
   std::optional<std::uint64_t> single_seed;
-  unsigned jobs = 0;  // 0 = hardware concurrency
+  unsigned jobs = 0;  // 0 = half the hardware threads
   bool shrink = true;
   bool replay = true;
   bool reference = true;
@@ -117,21 +119,13 @@ int main(int argc, char** argv) {
   check.run_reference = opt.reference;
   if (opt.simd_only) {
     // Kernel-identity sweep (scalar scan vs every vector kernel the build
-    // and CPU offer): skip the expensive oracles and the threaded solves so
-    // many scenarios fit in a CI timeslot. The pruned,
-    // feasibility, compliance, and energy invariants still run - they are
-    // byproducts of the solves the identity check needs anyway.
+    // and CPU offer): skip the expensive oracles so many scenarios fit in a
+    // CI timeslot. The pruned, feasibility, compliance, and energy
+    // invariants still run - they are byproducts of the solves the identity
+    // check needs anyway.
     check.run_reference = false;
     check.run_replay = false;
-    check.thread_counts.clear();
   }
-
-  // One pool shared by every scenario's threaded-identity solves; sized for
-  // the largest requested thread count (solve width is capped per problem).
-  unsigned max_tc = 1;
-  for (const unsigned tc : check.thread_counts) max_tc = std::max(max_tc, tc);
-  evvo::common::ThreadPool solver_pool(max_tc);
-  check.pool = &solver_pool;
 
   const auto handle_failure = [&](const evvo::check::ScenarioSpec& spec,
                                   const evvo::check::CheckReport& report) {
@@ -182,27 +176,39 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Fuzz run: outer parallelism over scenarios. Each worker runs whole
-  // scenarios; the shared solver pool parallelizes the threaded-identity
-  // solves inside them (parallel_for is caller-participating, so nesting is
-  // deadlock-free).
-  const unsigned jobs =
-      std::max(1u, opt.jobs ? opt.jobs : evvo::common::ThreadPool::resolve_threads(0) / 2);
-  evvo::common::ThreadPool outer(jobs);
+  // Fuzz run: `jobs` workers each take the next scenario index from one
+  // counter and check whole scenarios; every solve runs on its worker.
+  const unsigned jobs = std::max(1u, opt.jobs ? opt.jobs : std::thread::hardware_concurrency() / 2);
 
+  std::atomic<std::size_t> next_index{0};
   std::atomic<std::size_t> failures{0};
   std::atomic<std::size_t> infeasible{0};
   std::mutex io_mutex;
-  outer.parallel_for(opt.count, [&](std::size_t index) {
-    const std::uint64_t seed = opt.seed_start + index;
-    const evvo::check::ScenarioSpec spec = evvo::check::generate_scenario(seed);
-    const evvo::check::CheckReport report = evvo::check::check_scenario(spec, check);
-    if (!report.feasible) infeasible.fetch_add(1, std::memory_order_relaxed);
-    if (report.ok()) return;
-    failures.fetch_add(1, std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(io_mutex);
-    handle_failure(spec, report);
-  });
+  std::exception_ptr first_error;  // guarded by io_mutex; rethrown after the join
+  const auto worker = [&] {
+    try {
+      for (std::size_t index = next_index.fetch_add(1, std::memory_order_relaxed);
+           index < opt.count; index = next_index.fetch_add(1, std::memory_order_relaxed)) {
+        const std::uint64_t seed = opt.seed_start + index;
+        const evvo::check::ScenarioSpec spec = evvo::check::generate_scenario(seed);
+        const evvo::check::CheckReport report = evvo::check::check_scenario(spec, check);
+        if (!report.feasible) infeasible.fetch_add(1, std::memory_order_relaxed);
+        if (report.ok()) continue;
+        failures.fetch_add(1, std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(io_mutex);
+        handle_failure(spec, report);
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(io_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> workers;
+    for (unsigned w = 0; w < std::min<std::size_t>(jobs, opt.count); ++w)
+      workers.emplace_back(worker);
+  }  // joined here
+  if (first_error) std::rethrow_exception(first_error);
 
   const double elapsed_s = evvo::common::seconds_between_ns(t_begin, evvo::common::now_ns());
   std::printf("%zu scenario(s) checked in %.1f s (%zu infeasible), %zu violation(s)\n", opt.count,

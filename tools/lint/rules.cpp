@@ -282,8 +282,9 @@ void check_fp_determinism(const SourceFile& file, const std::string& code,
     }
     if (code.find("#pragma omp") != std::string::npos) {
       out.push_back({file.path, idx + 1, "fp-determinism",
-                     "OpenMP pragma: use common::ThreadPool — its decomposition is "
-                     "deterministic and its reductions keep a fixed op order"});
+                     "OpenMP pragma: its work split and reduction order vary with the "
+                     "thread count; keep the loop serial or give each std::thread a fixed "
+                     "share"});
     }
   } else if (code.find("ffast-math") != std::string::npos) {
     out.push_back({file.path, idx + 1, "fp-determinism",
