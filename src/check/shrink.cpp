@@ -1,7 +1,6 @@
 #include "check/shrink.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -17,82 +16,63 @@ bool still_fails(const ScenarioSpec& spec, const CheckOptions& options,
                      [&](const Violation& v) { return v.invariant == invariant; });
 }
 
-using Transform = std::function<std::optional<ScenarioSpec>(const ScenarioSpec&)>;
+/// Transforms tried per round: one drop per light, one per stop sign, then
+/// the fixed simplifications of `apply_transform`.
+constexpr std::size_t kFixedTransforms = 6;
 
-/// One round of candidate simplifications, cheapest-win first. Index-based
-/// drops are regenerated each round because earlier acceptances change the
-/// element counts.
-std::vector<Transform> candidate_transforms(const ScenarioSpec& spec) {
-  std::vector<Transform> out;
+std::size_t transform_count(const ScenarioSpec& spec) {
+  return spec.lights.size() + spec.stop_signs.size() + kFixedTransforms;
+}
 
-  for (std::size_t i = 0; i < spec.lights.size(); ++i) {
-    out.push_back([i](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-      if (i >= s.lights.size()) return std::nullopt;
-      ScenarioSpec next = s;
-      next.lights.erase(next.lights.begin() + static_cast<std::ptrdiff_t>(i));
-      return next;
-    });
+/// Candidate simplification `index` of one round, cheapest-win first:
+/// std::nullopt when it would not change `s`. Indices are recounted each
+/// round because an accepted drop changes the element counts.
+std::optional<ScenarioSpec> apply_transform(const ScenarioSpec& s, std::size_t index) {
+  ScenarioSpec next = s;
+  if (index < s.lights.size()) {
+    next.lights.erase(next.lights.begin() + static_cast<std::ptrdiff_t>(index));
+    return next;
   }
-  for (std::size_t i = 0; i < spec.stop_signs.size(); ++i) {
-    out.push_back([i](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-      if (i >= s.stop_signs.size()) return std::nullopt;
-      ScenarioSpec next = s;
-      next.stop_signs.erase(next.stop_signs.begin() + static_cast<std::ptrdiff_t>(i));
-      return next;
-    });
+  index -= s.lights.size();
+  if (index < s.stop_signs.size()) {
+    next.stop_signs.erase(next.stop_signs.begin() + static_cast<std::ptrdiff_t>(index));
+    return next;
   }
-
-  out.push_back([](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-    if (std::all_of(s.segments.begin(), s.segments.end(),
-                    [](const road::RoadSegment& seg) { return seg.grade_rad == 0.0; }))
-      return std::nullopt;
-    ScenarioSpec next = s;
-    for (road::RoadSegment& seg : next.segments) seg.grade_rad = 0.0;
-    return next;
-  });
-
-  out.push_back([](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-    if (s.segments.size() <= 1) return std::nullopt;
-    ScenarioSpec next = s;
-    road::RoadSegment merged = next.segments.front();
-    merged.end_m = next.segments.back().end_m;
-    next.segments = {merged};
-    return next;
-  });
-
-  out.push_back([](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-    if (s.arrival_veh_h.size() <= 1) return std::nullopt;
-    ScenarioSpec next = s;
-    next.arrival_veh_h = {next.arrival_veh_h.front()};
-    return next;
-  });
-
-  out.push_back([](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-    if (s.depart_time_s == 0.0) return std::nullopt;
-    ScenarioSpec next = s;
-    next.depart_time_s = 0.0;
-    return next;
-  });
-
-  out.push_back([](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-    const ev::VehicleParams defaults{};
-    ScenarioSpec next = s;
-    next.vehicle = defaults;
-    if (spec_to_text(next) == spec_to_text(s)) return std::nullopt;
-    return next;
-  });
-
-  out.push_back([](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-    ScenarioSpec next = s;
-    const core::DpResolution defaults{};
-    next.planner.resolution.ds_m = defaults.ds_m;
-    next.planner.resolution.dv_ms = defaults.dv_ms;
-    next.planner.resolution.dt_s = defaults.dt_s;
-    if (spec_to_text(next) == spec_to_text(s)) return std::nullopt;
-    return next;
-  });
-
-  return out;
+  switch (index - s.stop_signs.size()) {
+    case 0:
+      if (std::all_of(s.segments.begin(), s.segments.end(),
+                      [](const road::RoadSegment& seg) { return seg.grade_rad == 0.0; }))
+        return std::nullopt;
+      for (road::RoadSegment& seg : next.segments) seg.grade_rad = 0.0;
+      return next;
+    case 1: {
+      if (s.segments.size() <= 1) return std::nullopt;
+      road::RoadSegment merged = next.segments.front();
+      merged.end_m = next.segments.back().end_m;
+      next.segments = {merged};
+      return next;
+    }
+    case 2:
+      if (s.arrival_veh_h.size() <= 1) return std::nullopt;
+      next.arrival_veh_h = {next.arrival_veh_h.front()};
+      return next;
+    case 3:
+      if (s.depart_time_s == 0.0) return std::nullopt;
+      next.depart_time_s = 0.0;
+      return next;
+    case 4:
+      next.vehicle = ev::VehicleParams{};
+      break;
+    case 5: {
+      const core::DpResolution defaults{};
+      next.planner.resolution.ds_m = defaults.ds_m;
+      next.planner.resolution.dv_ms = defaults.dv_ms;
+      next.planner.resolution.dt_s = defaults.dt_s;
+      break;
+    }
+  }
+  if (spec_to_text(next) == spec_to_text(s)) return std::nullopt;
+  return next;
 }
 
 }  // namespace
@@ -110,9 +90,9 @@ ShrinkResult shrink_failure(const ScenarioSpec& failing, const CheckOptions& opt
   bool progressed = true;
   while (progressed && result.checks_run < max_checks) {
     progressed = false;
-    for (const Transform& transform : candidate_transforms(result.spec)) {
+    for (std::size_t t = 0; t < transform_count(result.spec); ++t) {
       if (result.checks_run >= max_checks) break;
-      std::optional<ScenarioSpec> candidate = transform(result.spec);
+      std::optional<ScenarioSpec> candidate = apply_transform(result.spec, t);
       if (!candidate) continue;
       candidate->seed = 0;  // no longer reproducible from a seed
       ++result.checks_run;

@@ -2,14 +2,11 @@
 
 #include <cstring>
 
-#include "core/dp_common.hpp"
-
 namespace evvo::cloud {
 
 namespace {
 
-/// FNV-1a continuation over a double's bit pattern, matching the byte order
-/// core::detail::hash_route uses so corridor hashes extend route hashes.
+/// FNV-1a continuation over a double's bit pattern, low byte first.
 std::uint64_t fnv_mix(std::uint64_t h, double value) {
   std::uint64_t bits;
   std::memcpy(&bits, &value, sizeof bits);
@@ -23,7 +20,14 @@ std::uint64_t fnv_mix(std::uint64_t h, double value) {
 }  // namespace
 
 std::uint64_t hash_corridor(const road::Corridor& corridor) {
-  std::uint64_t h = core::detail::hash_route(corridor.route);
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  for (const road::RoadSegment& seg : corridor.route.segments()) {
+    h = fnv_mix(h, seg.start_m);
+    h = fnv_mix(h, seg.end_m);
+    h = fnv_mix(h, seg.speed_limit_ms);
+    h = fnv_mix(h, seg.min_speed_ms);
+    h = fnv_mix(h, seg.grade_rad);
+  }
   for (const road::TrafficLight& light : corridor.lights) {
     h = fnv_mix(h, light.position());
     h = fnv_mix(h, light.red_duration());

@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "core/dp_common.hpp"
 #include "core/dp_solver.hpp"
 #include "core/workspace_pool.hpp"
 
@@ -19,19 +18,16 @@ namespace evvo::core {
 /// benchmark's next change.
 [[nodiscard]] inline std::vector<std::optional<DpSolution>> solve_dp_batch(
     std::span<const DpProblem> problems, WorkspacePool& pool) {
-  std::unique_ptr<WorkspacePool::Entry> entry = pool.acquire(0);
+  std::unique_ptr<DpWorkspace> workspace = pool.acquire();
   std::vector<std::optional<DpSolution>> out;
   out.reserve(problems.size());
   try {
-    for (const DpProblem& problem : problems) {
-      out.push_back(solve_dp(problem, entry->workspace));
-      entry->affinity = detail::hash_route(*problem.route);
-    }
+    for (const DpProblem& problem : problems) out.push_back(solve_dp(problem, *workspace));
   } catch (...) {
-    pool.release(std::move(entry));
+    pool.release(std::move(workspace));
     throw;
   }
-  pool.release(std::move(entry));
+  pool.release(std::move(workspace));
   return out;
 }
 

@@ -1,15 +1,13 @@
 // Layout constants and helpers shared by the production DP solver and the
 // naive reference solver in src/check/. Both sides must agree bit-for-bit on
-// backpointer packing, the route-content hash, and the state-table checksum,
-// or the differential harness would report spurious divergences.
+// backpointer packing and the state-table checksum, or the differential
+// harness would report spurious divergences.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-
-#include "road/route.hpp"
 
 namespace evvo::core::detail {
 
@@ -35,29 +33,6 @@ inline std::uint32_t pack_pred(std::size_t j, std::size_t k, bool dwell) {
 inline std::size_t pred_j(std::uint32_t p) { return (p & ~kDwellFlag) >> 20; }
 inline std::size_t pred_k(std::uint32_t p) { return p & kPredBinMask; }
 inline bool pred_is_dwell(std::uint32_t p) { return (p & kDwellFlag) != 0u && p != kNoPred; }
-
-/// FNV-1a over the route's segment payload: the workspace's model tables are
-/// keyed by route *content* because replanning solves over short-lived
-/// suffix routes whose stack addresses recur.
-inline std::uint64_t hash_route(const road::Route& route) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](double value) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof bits);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const road::RoadSegment& seg : route.segments()) {
-    mix(seg.start_m);
-    mix(seg.end_m);
-    mix(seg.speed_limit_ms);
-    mix(seg.min_speed_ms);
-    mix(seg.grade_rad);
-  }
-  return h;
-}
 
 /// FNV-1a accumulator for checksumming solver state.
 class TableHasher {

@@ -17,9 +17,8 @@ namespace evvo::core {
 
 namespace {
 
-// Packing, pruning margin, and the route-content hash are shared with the
-// reference solver (src/check) through dp_common.hpp.
-using detail::hash_route;
+// Packing and the pruning margin are shared with the reference solver
+// (src/check) through dp_common.hpp.
 using detail::kDwellFlag;
 using detail::kNoPred;
 using detail::kPruneMargin;
@@ -85,127 +84,6 @@ void DpProblem::validate() const {
   penalty.validate();
 }
 
-void DpWorkspace::ensure_model_tables(const road::Route& route, const ev::EnergyModel& energy,
-                                      const DpResolution& res, double lambda, double smoothness,
-                                      double ds, std::size_t n_hops, std::size_t n_layers,
-                                      std::size_t n_v) {
-  ModelKey key;
-  key.valid = true;
-  key.energy = &energy;
-  key.route_hash = hash_route(route);
-  key.ds_m = res.ds_m;
-  key.dv_ms = res.dv_ms;
-  key.lambda = lambda;
-  key.smoothness = smoothness;
-  if (model_key_ == key) return;
-
-  const ev::VehicleParams& vp = energy.params();
-  const double a_min = vp.min_acceleration;
-  const double a_max = vp.max_acceleration;
-
-  // Feasible hops per source velocity level (kinematics are layer-independent).
-  fwd_hops_.clear();
-  fwd_begin_.assign(n_v + 1, 0);
-  for (std::size_t j = 0; j < n_v; ++j) {
-    fwd_begin_[j] = static_cast<std::uint32_t>(fwd_hops_.size());
-    const double v = static_cast<double>(j) * res.dv_ms;
-    for (std::size_t j2 = 0; j2 < n_v; ++j2) {
-      const double v2 = static_cast<double>(j2) * res.dv_ms;
-      const double v_mid = 0.5 * (v + v2);
-      if (v_mid <= 1e-9) continue;  // no movement; dwells handle waiting
-      const double a = (v2 * v2 - v * v) / (2.0 * ds);
-      if (a < a_min - 1e-9 || a > a_max + 1e-9) continue;
-      fwd_hops_.push_back(FwdHop{static_cast<std::uint32_t>(j2),
-                                 static_cast<float>(ds / v_mid), static_cast<float>(a)});
-    }
-  }
-  fwd_begin_[n_v] = static_cast<std::uint32_t>(fwd_hops_.size());
-
-  // Reverse adjacency: hops grouped by destination level, sources ascending
-  // (the gather loop must visit sources in the same order as the forward
-  // sweep so equal-cost ties resolve to the same predecessor).
-  std::vector<std::uint32_t> rev_count(n_v + 1, 0);
-  for (const FwdHop& hop : fwd_hops_) ++rev_count[hop.j_to + 1];
-  rev_begin_.assign(n_v + 1, 0);
-  for (std::size_t j2 = 0; j2 < n_v; ++j2) rev_begin_[j2 + 1] = rev_begin_[j2] + rev_count[j2 + 1];
-  rev_hops_.assign(fwd_hops_.size(), RevHop{});
-  {
-    std::vector<std::uint32_t> fill(rev_begin_.begin(), rev_begin_.end() - 1);
-    for (std::size_t j = 0; j < n_v; ++j) {
-      for (std::uint32_t h = fwd_begin_[j]; h < fwd_begin_[j + 1]; ++h) {
-        const FwdHop& hop = fwd_hops_[h];
-        rev_hops_[fill[hop.j_to]++] = RevHop{static_cast<std::uint32_t>(j), hop.dt};
-      }
-    }
-  }
-
-  // Flat, sorted grade-class table. Few grade values exist along a route, so
-  // per-class cost tables are shared by all layers of that class.
-  std::vector<long> layer_key(n_hops);
-  std::vector<double> first_grade;  // representative grade per class (first layer encountered)
-  std::vector<long> classes;
-  for (std::size_t i = 0; i < n_hops; ++i) {
-    const double s_mid = (static_cast<double>(i) + 0.5) * ds;
-    layer_key[i] = std::lround(route.grade_at(s_mid) * 1e9);
-  }
-  classes = layer_key;
-  std::sort(classes.begin(), classes.end());
-  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-  first_grade.assign(classes.size(), 0.0);
-  std::vector<bool> seen(classes.size(), false);
-  layer_class_.assign(n_hops, 0);
-  for (std::size_t i = 0; i < n_hops; ++i) {
-    const auto cls = static_cast<std::size_t>(
-        std::lower_bound(classes.begin(), classes.end(), layer_key[i]) - classes.begin());
-    layer_class_[i] = static_cast<std::uint32_t>(cls);
-    if (!seen[cls]) {
-      seen[cls] = true;
-      first_grade[cls] = route.grade_at((static_cast<double>(i) + 0.5) * ds);
-    }
-  }
-
-  // Transition energy [mAh] per (grade class, j, j2), plus the fused variant
-  // with lambda*dt and the smoothness regularizer pre-added. The fused table
-  // applies the same float-rounding sequence as the step-by-step inner loop,
-  // so results are bit-identical to computing the terms per relaxation.
-  const std::size_t table_size = n_v * n_v;
-  grade_energy_.assign(classes.size() * table_size, kInf);
-  grade_fused_.assign(classes.size() * table_size, kInf);
-  for (std::size_t cls = 0; cls < classes.size(); ++cls) {
-    const double grade = first_grade[cls];
-    float* energy_table = grade_energy_.data() + cls * table_size;
-    float* fused_table = grade_fused_.data() + cls * table_size;
-    for (std::size_t j = 0; j < n_v; ++j) {
-      const double v = static_cast<double>(j) * res.dv_ms;
-      for (std::uint32_t h = fwd_begin_[j]; h < fwd_begin_[j + 1]; ++h) {
-        const FwdHop& hop = fwd_hops_[h];
-        const double v2 = static_cast<double>(hop.j_to) * res.dv_ms;
-        const double v_mid = 0.5 * (v + v2);
-        const double mah =
-            ah_to_mah(as_to_ah(
-                energy.current_a(MetersPerSecond(v_mid), MetersPerSecondSquared(hop.accel), grade) *
-                hop.dt));
-        const auto raw = static_cast<float>(mah);
-        float fused = raw;
-        fused += static_cast<float>(lambda * hop.dt);
-        fused += static_cast<float>(smoothness *
-                                    std::abs(static_cast<double>(hop.j_to) - static_cast<double>(j)) *
-                                    res.dv_ms);
-        energy_table[j * n_v + hop.j_to] = raw;
-        fused_table[j * n_v + hop.j_to] = fused;
-      }
-    }
-  }
-
-  // Per-layer speed cap (posted limit at the layer's position).
-  layer_limit_.resize(n_layers);
-  for (std::size_t i = 0; i < n_layers; ++i) {
-    layer_limit_[i] = route.speed_limit_at(static_cast<double>(i) * ds);
-  }
-
-  model_key_ = key;
-}
-
 namespace detail {
 
 /// One solve over a workspace. Per layer, the live (velocity, time-bin)
@@ -222,9 +100,7 @@ class DpEngine {
   std::optional<DpSolution> run();
 
  private:
-  using Fwd = DpWorkspace::FwdHop;
-  using Rev = DpWorkspace::RevHop;
-
+  void build_model_tables();
   void reset_state();
   bool relax_layer(std::size_t i);  // false: layer empty, solve infeasible
   void run_kernel(std::size_t i);  // relaxes layer i's source list into layer i + 1
@@ -269,6 +145,102 @@ class DpEngine {
 
   DpStats stats_;
 };
+
+// Fills the workspace's model tables from this solve's route, energy model
+// and grid. Every solve rebuilds them: the build is small next to the sweep,
+// and a table cached across solves would have to key on the energy model's
+// full content, which can change in place (set_powertrain_map).
+void DpEngine::build_model_tables() {
+  const ev::VehicleParams& vp = energy_.params();
+  const double a_min = vp.min_acceleration;
+  const double a_max = vp.max_acceleration;
+  const double dv = res_.dv_ms;
+  const auto v_mid = [dv](std::size_t j, std::size_t j2) {
+    return 0.5 * (static_cast<double>(j) * dv + static_cast<double>(j2) * dv);
+  };
+  const auto accel = [&](std::size_t j, std::size_t j2) {
+    const double v = static_cast<double>(j) * dv;
+    const double v2 = static_cast<double>(j2) * dv;
+    return (v2 * v2 - v * v) / (2.0 * ds_);
+  };
+
+  // Feasible hops (kinematics are layer-independent), grouped by destination
+  // level with sources ascending: the order in which the gather visits
+  // sources, so equal-cost ties resolve to the lowest source level.
+  ws_.rev_hops_.clear();
+  ws_.rev_begin_.assign(n_v_ + 1, 0);
+  for (std::size_t j2 = 0; j2 < n_v_; ++j2) {
+    ws_.rev_begin_[j2] = static_cast<std::uint32_t>(ws_.rev_hops_.size());
+    for (std::size_t j = 0; j < n_v_; ++j) {
+      const double mid = v_mid(j, j2);
+      if (mid <= 1e-9) continue;  // no movement; dwells handle waiting
+      const double a = accel(j, j2);
+      if (a < a_min - 1e-9 || a > a_max + 1e-9) continue;
+      ws_.rev_hops_.push_back(RevHop{static_cast<std::uint32_t>(j), static_cast<float>(ds_ / mid)});
+    }
+  }
+  ws_.rev_begin_[n_v_] = static_cast<std::uint32_t>(ws_.rev_hops_.size());
+
+  // Flat, sorted grade-class table. Few grade values exist along a route, so
+  // per-class cost tables are shared by all layers of that class.
+  std::vector<long> layer_key(n_hops_);
+  for (std::size_t i = 0; i < n_hops_; ++i) {
+    const double s_mid = (static_cast<double>(i) + 0.5) * ds_;
+    layer_key[i] = std::lround(route_.grade_at(s_mid) * 1e9);
+  }
+  std::vector<long> classes = layer_key;
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
+  std::vector<double> first_grade(classes.size(), 0.0);  // grade of the class's first layer
+  std::vector<bool> seen(classes.size(), false);
+  ws_.layer_class_.assign(n_hops_, 0);
+  for (std::size_t i = 0; i < n_hops_; ++i) {
+    const auto cls = static_cast<std::size_t>(
+        std::lower_bound(classes.begin(), classes.end(), layer_key[i]) - classes.begin());
+    ws_.layer_class_[i] = static_cast<std::uint32_t>(cls);
+    if (!seen[cls]) {
+      seen[cls] = true;
+      first_grade[cls] = route_.grade_at((static_cast<double>(i) + 0.5) * ds_);
+    }
+  }
+
+  // Transition energy [mAh] per (grade class, j, j2), plus the fused variant
+  // with lambda*dt and the smoothness regularizer pre-added. The fused table
+  // applies the same float-rounding sequence as the step-by-step inner loop,
+  // so results are bit-identical to computing the terms per relaxation.
+  const double smoothness = problem_.smoothness_weight_mah_per_ms;
+  const std::size_t table_size = n_v_ * n_v_;
+  ws_.grade_energy_.assign(classes.size() * table_size, kInf);
+  ws_.grade_fused_.assign(classes.size() * table_size, kInf);
+  for (std::size_t cls = 0; cls < classes.size(); ++cls) {
+    const double grade = first_grade[cls];
+    float* energy_table = ws_.grade_energy_.data() + cls * table_size;
+    float* fused_table = ws_.grade_fused_.data() + cls * table_size;
+    for (std::size_t j2 = 0; j2 < n_v_; ++j2) {
+      for (std::uint32_t h = ws_.rev_begin_[j2]; h < ws_.rev_begin_[j2 + 1]; ++h) {
+        const RevHop& hop = ws_.rev_hops_[h];
+        const std::size_t j = hop.j_from;
+        const auto a = static_cast<float>(accel(j, j2));
+        const double mah = ah_to_mah(as_to_ah(
+            energy_.current_a(MetersPerSecond(v_mid(j, j2)), MetersPerSecondSquared(a), grade) *
+            hop.dt));
+        const auto raw = static_cast<float>(mah);
+        float fused = raw;
+        fused += static_cast<float>(lambda_ * hop.dt);
+        fused += static_cast<float>(
+            smoothness * std::abs(static_cast<double>(j2) - static_cast<double>(j)) * dv);
+        energy_table[j * n_v_ + j2] = raw;
+        fused_table[j * n_v_ + j2] = fused;
+      }
+    }
+  }
+
+  // Per-layer speed cap (posted limit at the layer's position).
+  ws_.layer_limit_.resize(n_layers_);
+  for (std::size_t i = 0; i < n_layers_; ++i) {
+    ws_.layer_limit_[i] = route_.speed_limit_at(static_cast<double>(i) * ds_);
+  }
+}
 
 void DpEngine::reset_state() {
   // No grid-wide clear: each destination layer is reset to +inf just before
@@ -362,8 +334,7 @@ std::optional<DpSolution> DpEngine::run() {
   j_source_ = snap_level(problem_.initial_speed.value());
   j_dest_ = snap_level(problem_.final_speed.value());
 
-  ws_.ensure_model_tables(route_, energy_, res_, problem_.time_weight_mah_per_s,
-                          problem_.smoothness_weight_mah_per_ms, ds_, n_hops_, n_layers_, n_v_);
+  build_model_tables();
   reset_state();
 
   // Source state at the departure time (layer 0 cleared in full: its source

@@ -178,11 +178,11 @@ struct [[nodiscard]] DpSolution {
 /// workspace keeps them allocated across solves and skips the grid-wide
 /// clear: each destination layer is reset to +inf just before it is relaxed
 /// into, and time_/back_ are only ever read behind a finite cost, so no
-/// cell is ever read stale. The model tables (feasible hops
-/// per velocity level, per-grade-class transition costs) are cached across
-/// solves and rebuilt only when the route geometry, energy model, or
-/// resolution fingerprint changes - a PlanService miss storm on one corridor
-/// pays the table build once.
+/// cell is ever read stale. The model tables (feasible hops per velocity
+/// level, per-grade-class transition costs) are rebuilt by every solve from
+/// its own route, energy model and grid; only their allocations carry over.
+/// A build costs tens of microseconds against tens of milliseconds for the
+/// solve, so no solve depends on what an earlier one left behind.
 ///
 /// A workspace is NOT thread-safe: one solve at a time per workspace.
 /// VelocityPlanner keeps a pool of them so concurrent plan() calls each
@@ -231,28 +231,9 @@ class DpWorkspace {
  private:
   friend class detail::DpEngine;
 
-  struct FwdHop {
-    std::uint32_t j_to = 0;
-    float dt = 0.0f;     ///< travel time over one distance step
-    float accel = 0.0f;  ///< constant acceleration
-  };
   using RevHop = detail::RevHop;
 
-  /// Fingerprint of everything the model tables depend on. The route is
-  /// hashed by content (replanning solves over short-lived suffix routes
-  /// whose addresses may recur).
-  struct ModelKey {
-    bool valid = false;
-    const void* energy = nullptr;
-    std::uint64_t route_hash = 0;
-    double ds_m = 0.0, dv_ms = 0.0, lambda = 0.0, smoothness = 0.0;
-    bool operator==(const ModelKey&) const = default;
-  };
-
-  // --- model tables (cached across solves, keyed by model_key_) ---
-  ModelKey model_key_{};
-  std::vector<FwdHop> fwd_hops_;            ///< flattened hops grouped by source level
-  std::vector<std::uint32_t> fwd_begin_;    ///< n_v + 1 offsets into fwd_hops_
+  // --- model tables (rebuilt by every solve; see DpEngine::build_model_tables) ---
   std::vector<RevHop> rev_hops_;            ///< flattened hops grouped by destination level
   std::vector<std::uint32_t> rev_begin_;    ///< n_v + 1 offsets into rev_hops_
   std::vector<float> grade_energy_;         ///< [class][j][j2] transition energy [mAh]
@@ -271,11 +252,6 @@ class DpWorkspace {
   std::vector<float> src_time_;             ///< arrival time + mandatory dwell
   std::vector<std::uint8_t> src_inside_;    ///< inside the signal window T_q
   std::vector<std::uint32_t> row_begin_;    ///< n_v + 1 offsets into the source list
-
-  /// Build (or reuse) the cached model tables for the given grid geometry.
-  void ensure_model_tables(const road::Route& route, const ev::EnergyModel& energy,
-                           const DpResolution& res, double lambda, double smoothness, double ds,
-                           std::size_t n_hops, std::size_t n_layers, std::size_t n_v);
 };
 
 /// Runs the DP. Returns std::nullopt only if no feasible trajectory reaches

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/math_util.hpp"
-#include "core/dp_common.hpp"
 #include "core/workspace_pool.hpp"
 
 namespace evvo::core {
@@ -133,21 +132,15 @@ std::vector<LayerEvent> VelocityPlanner::build_events(
 }
 
 std::optional<DpSolution> VelocityPlanner::solve_problem(const DpProblem& problem) const {
-  // Affinity = route content: a solve of the same route gets a workspace
-  // whose cached model tables already match. Cross-route checkouts still
-  // reuse the allocations, they just rebuild the tables.
-  const std::uint64_t affinity = detail::hash_route(*problem.route);
-  std::unique_ptr<WorkspacePool::Entry> entry = workspaces_->acquire(affinity);
+  std::unique_ptr<DpWorkspace> workspace = workspaces_->acquire();
   std::optional<DpSolution> solution;
   try {
-    solution = solve_dp(problem, entry->workspace);
+    solution = solve_dp(problem, *workspace);
   } catch (...) {
-    entry->affinity = affinity;
-    workspaces_->release(std::move(entry));
+    workspaces_->release(std::move(workspace));
     throw;
   }
-  entry->affinity = affinity;
-  workspaces_->release(std::move(entry));
+  workspaces_->release(std::move(workspace));
   return solution;
 }
 

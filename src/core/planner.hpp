@@ -53,10 +53,10 @@ struct PlannerConfig {
 };
 
 /// The planner owns a free-list of DpWorkspace shared by all copies of
-/// itself, so repeated plans reuse the solver's state tables and cached cost
-/// model instead of reallocating ~tens of MB per call. plan()/replan() are
-/// safe to call concurrently; each call checks a workspace out of the free
-/// list for its duration and solves on the calling thread.
+/// itself, so repeated plans reuse the solver's table allocations instead of
+/// reallocating ~tens of MB per call. plan()/replan() are safe to call
+/// concurrently; each call checks a workspace out of the free list for its
+/// duration and solves on the calling thread.
 class VelocityPlanner {
  public:
   VelocityPlanner(road::Corridor corridor, ev::EnergyModel energy, PlannerConfig config = {});

@@ -214,8 +214,8 @@ std::vector<Slot> plan_slots() {
 /// the 10 m solver grid, inside the 12 m/s segment) crossed with every
 /// (phase bin, velocity level) pair the grid admits. Misses drawn from here
 /// were never warmed, and sharing the layer means a tick's misses are
-/// distinct leaders solved back to back over one suffix corridor (the same
-/// pooled workspace and cached model tables). The space holds
+/// distinct leaders solved back to back over one suffix corridor (on the
+/// same pooled workspace). The space holds
 /// 60 phases x 23 levels = 1380 distinct keys; a workload drawing more
 /// wraps around (later draws become hits), which keeps long runs bounded.
 constexpr double kMissPositionM = 1230.0;
