@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iomanip>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -475,11 +476,36 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
                                    << " but unpruned feasible=" << un.has_value();
     rep.commit();
   } else if (pr) {
+    // Bit identity: pruning may only skip work, never move the plan.
     const double cp = pr->stats.best_cost_mah;
     const double cu = un->stats.best_cost_mah;
-    if (std::abs(cp - cu) > 1e-4 + 1e-6 * std::abs(cu)) {
-      rep.add("pruning.cost") << "pruned best cost " << cp << " != unpruned " << cu;
+    if (std::memcmp(&cp, &cu, sizeof cp) != 0 ||
+        !profiles_bit_identical(pr->profile, un->profile)) {
+      rep.add("pruning.profile") << std::setprecision(17) << "pruned plan (best cost " << cp
+                                 << ") differs from the unpruned plan (best cost " << cu << ")";
       rep.commit();
+    }
+  }
+
+  // --- bound pruning at the edges: the optimum itself as the incumbent
+  // (the rounding slack must keep the optimal path) and one 5% below it (the
+  // fallback re-solve must catch it); the coarse pre-solve's incumbent has
+  // not forced a fallback on any scenario, so only these reach that path ---
+  if (un) {
+    const double optimum = un->stats.best_cost_mah;
+    for (const double incumbent : {optimum, optimum - 0.05 * std::abs(optimum)}) {
+      const std::optional<DpSolution> edge =
+          core::detail::solve_dp_with_incumbent(pruned, ws, incumbent);
+      const double ce = edge ? edge->stats.best_cost_mah : 0.0;
+      if (!edge || std::memcmp(&ce, &optimum, sizeof ce) != 0 ||
+          !profiles_bit_identical(edge->profile, un->profile)) {
+        rep.add("pruning.profile") << std::setprecision(17) << "pruned plan at incumbent "
+                                   << incumbent << " (feasible=" << edge.has_value()
+                                   << ", best cost " << ce
+                                   << ") differs from the unpruned plan (best cost " << optimum
+                                   << ")";
+        rep.commit();
+      }
     }
   }
 

@@ -9,7 +9,8 @@
 //    (compared by checksum) and the extracted profile match the naive
 //    reference solver (differential oracle), and every relaxation kernel
 //    solves bit-identically;
-//  - pruning soundness: pruned and unpruned solves agree on the optimal cost;
+//  - pruning soundness: pruned and unpruned solves return bit-identical
+//    best costs and profiles;
 //  - plan feasibility: speed limits, the acceleration envelope, boundary
 //    speeds, stop-sign dwells, horizon;
 //  - signal-window compliance: crossings outside T_q only when a hard-mode

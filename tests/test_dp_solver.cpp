@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -91,7 +92,10 @@ TEST(DpSolver, EdgeTableBinsNearlyEveryVectorChunkOfAColdUs25Solve) {
   // pins that it does: with a vector kernel selected, a cold US-25 solve
   // bins at least 90% of its vector chunks through it, and a scalar solve
   // bins none. Chunks are counted at the selected kernel's width (8 lanes
-  // for the AVX2 kernel, whatever the build's baseline backend).
+  // for the AVX2 kernel, whatever the build's baseline backend). The solve
+  // is the exhaustive sweep: pruning leaves gaps in the source rows, which
+  // send chunks down the exact route (a pruned solve of this problem bins
+  // 72% of its far fewer chunks).
   const road::Corridor corridor = road::make_us25_corridor();
   const ev::EnergyModel energy;
   PlannerConfig cfg;
@@ -106,6 +110,7 @@ TEST(DpSolver, EdgeTableBinsNearlyEveryVectorChunkOfAColdUs25Solve) {
   problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
   problem.events = planner.build_events(
       problem.depart_time, std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0)));
+  problem.dominance_pruning = false;
 
   const telemetry::Counter& fast = telemetry::counter("dp.relax.fast_chunks");
   const telemetry::Counter& capacity = telemetry::counter("dp.simd_lanes_capacity");
@@ -146,31 +151,45 @@ bool same_stats(const DpStats& a, const DpStats& b) {
          a.table_checksum == b.table_checksum;
 }
 
+/// The problem of the golden-checksum file: US-25 with queue-aware windows
+/// at 600 veh/h, departing at 60 s, on a 15 m x 1 m/s x 1 s grid with a
+/// 480 s horizon, tables checksummed.
+struct Us25GoldenProblem {
+  road::Corridor corridor = road::make_us25_corridor();
+  ev::EnergyModel energy;
+  DpProblem problem;
+
+  Us25GoldenProblem() {
+    PlannerConfig cfg;
+    cfg.policy = SignalPolicy::kQueueAware;
+    cfg.resolution.ds_m = 15.0;
+    cfg.resolution.dv_ms = 1.0;
+    cfg.resolution.dt_s = 1.0;
+    cfg.resolution.horizon_s = 480.0;
+    const VelocityPlanner planner(corridor, energy, cfg);
+    problem.route = &corridor.route;
+    problem.energy = &energy;
+    problem.depart_time = Seconds(60.0);
+    problem.resolution = cfg.resolution;
+    problem.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
+    problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
+    problem.events = planner.build_events(
+        problem.depart_time,
+        std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(600.0)));
+    problem.checksum_tables = true;
+  }
+  Us25GoldenProblem(const Us25GoldenProblem&) = delete;
+  Us25GoldenProblem& operator=(const Us25GoldenProblem&) = delete;
+};
+
 TEST(DpSolver, EveryKernelSolvesTheUs25GoldenProblemIdentically) {
   // The golden-checksum problem of Us25GoldenChecksum, solved once per
   // relaxation kernel the build and CPU offer (scalar, the baseline vector
   // backend, and the run-time dispatched AVX2 copy where it exists), in both
   // pruning modes: table checksum, every DpStats field, the best-cost bits
   // and the extracted profile must all agree with the scalar scan.
-  const road::Corridor corridor = road::make_us25_corridor();
-  const ev::EnergyModel energy;
-  PlannerConfig cfg;
-  cfg.policy = SignalPolicy::kQueueAware;
-  cfg.resolution.ds_m = 15.0;
-  cfg.resolution.dv_ms = 1.0;
-  cfg.resolution.dt_s = 1.0;
-  cfg.resolution.horizon_s = 480.0;
-  const VelocityPlanner planner(corridor, energy, cfg);
-  DpProblem problem;
-  problem.route = &corridor.route;
-  problem.energy = &energy;
-  problem.depart_time = Seconds(60.0);
-  problem.resolution = cfg.resolution;
-  problem.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
-  problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
-  problem.events = planner.build_events(
-      problem.depart_time, std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(600.0)));
-  problem.checksum_tables = true;
+  Us25GoldenProblem golden;
+  DpProblem& problem = golden.problem;
 
   const std::vector<detail::DpKernelInfo> kernels = detail::dp_kernels();
   ASSERT_EQ(kernels.front().kernel, detail::DpKernel::kScalar);
@@ -195,6 +214,59 @@ TEST(DpSolver, EveryKernelSolvesTheUs25GoldenProblemIdentically) {
           << kernel.name << " pruning=" << pruning;
     }
   }
+}
+
+TEST(DpSolver, IncumbentSeamReturnsTheUnprunedPlanAtAnyIncumbent) {
+  // Bound pruning against a forced incumbent on the golden problem. The
+  // optimum itself leaves no room to spare, so it tests the rounding slack:
+  // the optimal path must survive without a fallback. +inf prunes dead-end
+  // rows only. An incumbent 5% below the optimum prunes the optimal path,
+  // so the solve must notice and re-solve without one. Every case returns
+  // the exhaustive sweep's plan bit for bit.
+  Us25GoldenProblem golden;
+  DpProblem& problem = golden.problem;
+  problem.checksum_tables = false;
+  problem.dominance_pruning = false;
+  DpWorkspace workspace;
+  const auto full = solve_dp(problem, workspace);
+  ASSERT_TRUE(full.has_value());
+  const double optimum = full->stats.best_cost_mah;
+
+  problem.dominance_pruning = true;
+  const telemetry::Counter& fallbacks = telemetry::counter("dp.bound_fallbacks");
+  const std::pair<double, long> cases[] = {
+      {optimum, 0}, {std::numeric_limits<double>::infinity(), 0}, {0.95 * optimum, 1}};
+  for (const auto& [incumbent, expected_fallbacks] : cases) {
+    const long before = fallbacks.value();
+    const auto solution = detail::solve_dp_with_incumbent(problem, workspace, incumbent);
+    ASSERT_TRUE(solution.has_value()) << "incumbent " << incumbent;
+    EXPECT_EQ(fallbacks.value() - before, expected_fallbacks) << "incumbent " << incumbent;
+    EXPECT_EQ(std::memcmp(&solution->stats.best_cost_mah, &optimum, sizeof optimum), 0)
+        << "incumbent " << incumbent << ": " << solution->stats.best_cost_mah << " vs "
+        << optimum;
+    EXPECT_TRUE(profiles_bit_identical(solution->profile, full->profile))
+        << "incumbent " << incumbent;
+    EXPECT_LT(solution->stats.relaxations, full->stats.relaxations) << "incumbent " << incumbent;
+  }
+}
+
+TEST(DpSolver, BoundPruningCutsTheGoldenProblemsRelaxations) {
+  // Work guard for bound pruning that times nothing: relaxation counts are
+  // deterministic (every kernel, every build), so the pruned solve's share
+  // of the exhaustive sweep's relaxations, coarse pre-solve included, is a
+  // fixed number for the golden problem: 1761691 / 12932980 = 0.136.
+  Us25GoldenProblem golden;
+  DpProblem& problem = golden.problem;
+  problem.checksum_tables = false;
+  DpWorkspace workspace;
+  problem.dominance_pruning = false;
+  const auto full = solve_dp(problem, workspace);
+  problem.dominance_pruning = true;
+  const auto pruned = solve_dp(problem, workspace);
+  ASSERT_TRUE(full.has_value() && pruned.has_value());
+  const double share = static_cast<double>(pruned->stats.relaxations) /
+                       static_cast<double>(full->stats.relaxations);
+  EXPECT_LE(share, 0.15) << pruned->stats.relaxations << " of " << full->stats.relaxations;
 }
 
 TEST(DpWorkspace, ReusedWorkspaceFollowsEnergyModelChanges) {
@@ -605,26 +677,8 @@ void write_golden(const Us25Golden& golden) {
 }
 
 TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossPruningModes) {
-  const road::Corridor corridor = road::make_us25_corridor();
-  ev::EnergyModel energy;
-  PlannerConfig cfg;
-  cfg.policy = SignalPolicy::kQueueAware;
-  cfg.resolution.ds_m = 15.0;
-  cfg.resolution.dv_ms = 1.0;
-  cfg.resolution.dt_s = 1.0;
-  cfg.resolution.horizon_s = 480.0;
-  const VelocityPlanner planner(corridor, energy, cfg);
-  const auto arrivals = std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(600.0));
-
-  DpProblem problem;
-  problem.route = &corridor.route;
-  problem.energy = &energy;
-  problem.depart_time = Seconds(60.0);
-  problem.resolution = cfg.resolution;
-  problem.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
-  problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
-  problem.events = planner.build_events(Seconds(problem.depart_time.value()), arrivals);
-  problem.checksum_tables = true;
+  Us25GoldenProblem golden_problem;
+  DpProblem& problem = golden_problem.problem;
 
   Us25Golden computed;
   std::optional<PlannedProfile> first_profile;

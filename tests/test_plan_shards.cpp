@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -205,28 +206,41 @@ TEST(PlanShards, CachedPlansServeAtAnyAge) {
 TEST(PlanShards, EveryMissIsServedWhileAnotherSolves) {
   CacheConfig cache;
   cache.shards = 1;
-  PlanService service(make_planner(), demand(500.0), cache);
+  // A solve on this corridor takes milliseconds, so a main thread that is
+  // descheduled meanwhile can miss the whole flight; the scenario then
+  // starts over on a fresh service rather than wait for a flight that has
+  // already landed.
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    PlanService service(make_planner(), demand(500.0), cache);
 
-  // Hold key A's leader in flight on the only shard...
-  std::jthread leader([&] { (void)plan_one(service, {0, 5.0}); });
-  while (service.stats().queue_depth < 1) std::this_thread::yield();
+    // Hold key A's leader in flight on the only shard...
+    std::atomic<bool> leader_done{false};
+    std::jthread leader([&] {
+      (void)plan_one(service, {0, 5.0});
+      leader_done = true;
+    });
+    while (service.stats().queue_depth < 1 && !leader_done) std::this_thread::yield();
+    if (leader_done) continue;
 
-  // ...then one call brings a distinct cold key B on the same shard, which
-  // is solved beside A's flight, and a phase-congruent request for A, which
-  // coalesces onto that flight.
-  const std::vector<PlanRequest> call{{1, 25.0}, {2, 65.0}};
-  const std::vector<PlanTicket> tickets = service.request_plan_tickets(call);
-  EXPECT_FALSE(tickets[0].cache_hit);
-  EXPECT_TRUE(tickets[1].cache_hit);
-  leader.join();
+    // ...then one call brings a distinct cold key B on the same shard, which
+    // is solved beside A's flight, and a phase-congruent request for A, which
+    // coalesces onto that flight.
+    const std::vector<PlanRequest> call{{1, 25.0}, {2, 65.0}};
+    const std::vector<PlanTicket> tickets = service.request_plan_tickets(call);
+    EXPECT_FALSE(tickets[0].cache_hit);
+    EXPECT_TRUE(tickets[1].cache_hit);
+    leader.join();
 
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.requests, 3);
-  EXPECT_EQ(stats.solver_runs, 2);
-  EXPECT_EQ(stats.cache_hits, 1);
-  EXPECT_EQ(stats.coalesced_hits, 1);
-  EXPECT_EQ(stats.queue_depth, 0);
-  EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.requests, 3);
+    EXPECT_EQ(stats.solver_runs, 2);
+    EXPECT_EQ(stats.cache_hits, 1);
+    EXPECT_EQ(stats.coalesced_hits, 1);
+    EXPECT_EQ(stats.queue_depth, 0);
+    EXPECT_EQ(stats.requests, stats.cache_hits + stats.solver_runs);
+    return;
+  }
+  FAIL() << "key A's flight landed before it was seen in 100 attempts";
 }
 
 // --- Per-shard statistics ------------------------------------------------
