@@ -54,12 +54,28 @@ class TableHasher {
   std::uint64_t h_ = 1469598103934665603ull;
 };
 
-/// Checksum of the reachable DP state: every finite-cost cell's identity,
-/// cost, continuous arrival time, and backpointer, in deterministic
-/// (layer, velocity, time-bin) order. Cells that were never relaxed into are
-/// skipped, so lazily reset tables (which leave stale time/back values behind
-/// infinite costs) hash identically to densely initialized ones. Tables are
-/// layer-major: index = layer * (n_v * n_t) + j * n_t + k.
+/// Mixes one layer of the reachable DP state into `hasher`: every
+/// finite-cost cell's identity, cost, continuous arrival time, and
+/// backpointer, in (velocity, time-bin) order. `cost`, `time` and `back`
+/// address the layer's n_v * n_t cells (index j * n_t + k). Cells that were
+/// never relaxed into are skipped, so lazily reset tables (which leave stale
+/// time/back values behind infinite costs) hash identically to densely
+/// initialized ones.
+inline void mix_state_layer(TableHasher& hasher, std::size_t layer, std::size_t layer_size,
+                            const float* cost, const float* time, const std::uint32_t* back) {
+  for (std::size_t cell = 0; cell < layer_size; ++cell) {
+    if (cost[cell] >= kDpInf) continue;
+    hasher.mix_u64((static_cast<std::uint64_t>(layer) << 32) | cell);
+    hasher.mix_f32(cost[cell]);
+    hasher.mix_f32(time[cell]);
+    hasher.mix_u64(back[cell]);
+  }
+}
+
+/// Checksum of the reachable DP state: mix_state_layer over every layer in
+/// order. Tables are layer-major: index = layer * (n_v * n_t) + j * n_t + k.
+/// The production solver, which keeps one layer of costs and times, mixes
+/// each layer as it finishes it and reaches the same value.
 inline std::uint64_t checksum_state_tables(std::size_t n_layers, std::size_t n_v, std::size_t n_t,
                                            const float* cost, const float* time,
                                            const std::uint32_t* back) {
@@ -67,14 +83,7 @@ inline std::uint64_t checksum_state_tables(std::size_t n_layers, std::size_t n_v
   const std::size_t layer_size = n_v * n_t;
   for (std::size_t layer = 0; layer < n_layers; ++layer) {
     const std::size_t base = layer * layer_size;
-    for (std::size_t cell = 0; cell < layer_size; ++cell) {
-      const std::size_t id = base + cell;
-      if (cost[id] >= kDpInf) continue;
-      hasher.mix_u64((static_cast<std::uint64_t>(layer) << 32) | cell);
-      hasher.mix_f32(cost[id]);
-      hasher.mix_f32(time[id]);
-      hasher.mix_u64(back[id]);
-    }
+    mix_state_layer(hasher, layer, layer_size, cost + base, time + base, back + base);
   }
   return hasher.value();
 }

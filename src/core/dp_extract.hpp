@@ -18,34 +18,40 @@
 
 namespace evvo::core::detail {
 
-/// `cost`/`time`/`back` are the state tables, indexed by flat state index
-/// (layer * n_v * n_t + j * n_t + k). Time and backpointer cells are only
-/// ever read behind a finite cost, which keeps the lazy-reset data path
-/// (stale time/back behind +inf) sound here exactly as in the relaxation.
-inline std::optional<DpSolution> extract_dp_solution(
+/// `back` is the backpointer table, indexed by flat state index
+/// (layer * n_v * n_t + j * n_t + k); `dest_cost` and `dest_time` are the
+/// last layer's cost and time tables (j * n_t + k). Time and backpointer
+/// cells are only ever read behind a finite cost, which keeps the
+/// lazy-reset data path (stale time/back behind +inf) sound here exactly as
+/// in the relaxation. The path's node times are replayed from the
+/// departure `depart_f` with the sweep's float arithmetic, in its order: a
+/// dwell step adds `dt_f`; a hop from layer i adds the stop-sign dwell when
+/// layer i holds a sign, then `hop_dt(j, j2)`, the hop's duration.
+template <typename HopDt>
+std::optional<DpSolution> extract_dp_solution(
     const road::Route& route, const ev::EnergyModel& energy,
     const std::vector<const LayerEvent*>& event_at, std::size_t n_events, double ds, double dv,
     std::size_t n_layers, std::size_t n_t, std::size_t layer_size, std::size_t j_dest,
-    DpStats stats, const float* cost, const float* time, const std::uint32_t* back) {
+    DpStats stats, const float* dest_cost, const float* dest_time, const std::uint32_t* back,
+    float depart_f, float dt_f, const HopDt& hop_dt) {
   constexpr float kInf = kDpInf;
   const auto cell_of = [n_t](std::size_t j, std::size_t k) { return j * n_t + k; };
 
   // Destination at the terminal speed; among optima prefer the earliest
   // arrival. (Restructured from the original: skip unreached/infinite cells
   // up front so the tie-break can never consult an unset best state.)
-  const std::size_t dest_base = (n_layers - 1) * layer_size + j_dest * n_t;
   std::size_t best_k = n_t;
   float best_cost = kInf;
   float best_time = 0.0f;
   for (std::size_t k = 0; k < n_t; ++k) {
-    const std::size_t id = dest_base + k;
-    const float c = cost[id];
+    const std::size_t id = cell_of(j_dest, k);
+    const float c = dest_cost[id];
     if (c >= kInf) continue;
     if (best_k == n_t || c < best_cost - 1e-9f ||
-        (std::abs(c - best_cost) <= 1e-9f && time[id] < best_time)) {
+        (std::abs(c - best_cost) <= 1e-9f && dest_time[id] < best_time)) {
       best_cost = c;
       best_k = k;
-      best_time = time[id];
+      best_time = dest_time[id];
     }
   }
   if (best_k == n_t) return std::nullopt;
@@ -77,12 +83,23 @@ inline std::optional<DpSolution> extract_dp_solution(
 
   std::vector<PlanNode> nodes;
   nodes.reserve(chain.size() + n_events);
+  float t = depart_f;  // chain[0] is the source state
   for (std::size_t n = 0; n < chain.size(); ++n) {
     const RawNode& r = chain[n];
+    if (n > 0) {
+      const RawNode& from = chain[n - 1];
+      if (from.i == r.i) {
+        t += dt_f;
+      } else {
+        const LayerEvent* e = event_at[from.i];
+        if (e && e->type == LayerEvent::Type::kStopSign) t += static_cast<float>(e->dwell_s);
+        t += hop_dt(from.j, r.j);
+      }
+    }
     PlanNode node;
     node.position_m = static_cast<double>(r.i) * ds;
     node.speed_ms = static_cast<double>(r.j) * dv;
-    node.time_s = static_cast<double>(time[r.i * layer_size + cell_of(r.j, r.k)]);
+    node.time_s = static_cast<double>(t);
     // Materialize the mandatory stop-sign dwell as an explicit node so the
     // time-domain expansion shows the standstill.
     if (n > 0 && !nodes.empty()) {
