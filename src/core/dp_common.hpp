@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 namespace evvo::core::detail {
 
@@ -54,36 +55,51 @@ class TableHasher {
   std::uint64_t h_ = 1469598103934665603ull;
 };
 
+/// Live time-bin range [lo, hi) of one (layer, velocity) row: every cell of
+/// the row that a solve can reach lies in it.
+struct BinBand {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+};
+
 /// Mixes one layer of the reachable DP state into `hasher`: every
 /// finite-cost cell's identity, cost, continuous arrival time, and
 /// backpointer, in (velocity, time-bin) order. `cost`, `time` and `back`
-/// address the layer's n_v * n_t cells (index j * n_t + k). Cells that were
-/// never relaxed into are skipped, so lazily reset tables (which leave stale
-/// time/back values behind infinite costs) hash identically to densely
-/// initialized ones.
-inline void mix_state_layer(TableHasher& hasher, std::size_t layer, std::size_t layer_size,
-                            const float* cost, const float* time, const std::uint32_t* back) {
-  for (std::size_t cell = 0; cell < layer_size; ++cell) {
-    if (cost[cell] >= kDpInf) continue;
-    hasher.mix_u64((static_cast<std::uint64_t>(layer) << 32) | cell);
-    hasher.mix_f32(cost[cell]);
-    hasher.mix_f32(time[cell]);
-    hasher.mix_u64(back[cell]);
+/// address the layer's n_v * n_t cells (index j * n_t + k), and only row j's
+/// cells in `bands[j]` are read. Cells that were never relaxed into are
+/// skipped, so lazily reset tables (which leave stale time/back values
+/// behind infinite costs, and anything at all outside the bands) hash
+/// identically to densely initialized ones read in full rows.
+inline void mix_state_layer(TableHasher& hasher, std::size_t layer, std::size_t n_v,
+                            std::size_t n_t, const float* cost, const float* time,
+                            const std::uint32_t* back, const BinBand* bands) {
+  for (std::size_t j = 0; j < n_v; ++j) {
+    for (std::size_t k = bands[j].lo; k < bands[j].hi; ++k) {
+      const std::size_t cell = j * n_t + k;
+      if (cost[cell] >= kDpInf) continue;
+      hasher.mix_u64((static_cast<std::uint64_t>(layer) << 32) | cell);
+      hasher.mix_f32(cost[cell]);
+      hasher.mix_f32(time[cell]);
+      hasher.mix_u64(back[cell]);
+    }
   }
 }
 
 /// Checksum of the reachable DP state: mix_state_layer over every layer in
-/// order. Tables are layer-major: index = layer * (n_v * n_t) + j * n_t + k.
-/// The production solver, which keeps one layer of costs and times, mixes
-/// each layer as it finishes it and reaches the same value.
+/// order, in full rows. Tables are layer-major: index = layer * (n_v * n_t)
+/// + j * n_t + k. The production solver, which keeps one layer of costs and
+/// times, mixes each layer's bands as it finishes it and reaches the same
+/// value.
 inline std::uint64_t checksum_state_tables(std::size_t n_layers, std::size_t n_v, std::size_t n_t,
                                            const float* cost, const float* time,
                                            const std::uint32_t* back) {
   TableHasher hasher;
+  const std::vector<BinBand> full_rows(n_v, BinBand{0, static_cast<std::uint32_t>(n_t)});
   const std::size_t layer_size = n_v * n_t;
   for (std::size_t layer = 0; layer < n_layers; ++layer) {
     const std::size_t base = layer * layer_size;
-    mix_state_layer(hasher, layer, layer_size, cost + base, time + base, back + base);
+    mix_state_layer(hasher, layer, n_v, n_t, cost + base, time + base, back + base,
+                    full_rows.data());
   }
   return hasher.value();
 }

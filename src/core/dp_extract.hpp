@@ -18,24 +18,24 @@
 
 namespace evvo::core::detail {
 
-/// `back` is the backpointer table, indexed by flat state index
-/// (layer * n_v * n_t + j * n_t + k); `dest_cost` and `dest_time` are the
-/// last layer's cost and time tables (j * n_t + k). Time and backpointer
-/// cells are only ever read behind a finite cost, which keeps the
-/// lazy-reset data path (stale time/back behind +inf) sound here exactly as
-/// in the relaxation. The path's node times are replayed from the
-/// departure `depart_f` with the sweep's float arithmetic, in its order: a
-/// dwell step adds `dt_f`; a hop from layer i adds the stop-sign dwell when
-/// layer i holds a sign, then `hop_dt(j, j2)`, the hop's duration.
-template <typename HopDt>
+/// `back_at(i, j, k)` returns the backpointer of state (layer i, v_j, bin
+/// k); `dest_cost` and `dest_time` are the last layer's cost and time tables
+/// (j * n_t + k), live only inside `dest_band`, the destination row's
+/// BinBand. Time and backpointer cells are only ever read behind a finite
+/// cost, which keeps the lazy-reset data path (stale time/back behind +inf)
+/// sound here exactly as in the relaxation. The path's node times are
+/// replayed from the departure `depart_f` with the sweep's float arithmetic,
+/// in its order: a dwell step adds `dt_f`; a hop from layer i adds the
+/// stop-sign dwell when layer i holds a sign, then `hop_dt(j, j2)`, the
+/// hop's duration.
+template <typename BackAt, typename HopDt>
 std::optional<DpSolution> extract_dp_solution(
     const road::Route& route, const ev::EnergyModel& energy,
     const std::vector<const LayerEvent*>& event_at, std::size_t n_events, double ds, double dv,
-    std::size_t n_layers, std::size_t n_t, std::size_t layer_size, std::size_t j_dest,
-    DpStats stats, const float* dest_cost, const float* dest_time, const std::uint32_t* back,
-    float depart_f, float dt_f, const HopDt& hop_dt) {
+    std::size_t n_layers, std::size_t n_t, std::size_t j_dest, BinBand dest_band, DpStats stats,
+    const float* dest_cost, const float* dest_time, const BackAt& back_at, float depart_f,
+    float dt_f, const HopDt& hop_dt) {
   constexpr float kInf = kDpInf;
-  const auto cell_of = [n_t](std::size_t j, std::size_t k) { return j * n_t + k; };
 
   // Destination at the terminal speed; among optima prefer the earliest
   // arrival. (Restructured from the original: skip unreached/infinite cells
@@ -43,8 +43,8 @@ std::optional<DpSolution> extract_dp_solution(
   std::size_t best_k = n_t;
   float best_cost = kInf;
   float best_time = 0.0f;
-  for (std::size_t k = 0; k < n_t; ++k) {
-    const std::size_t id = cell_of(j_dest, k);
+  for (std::size_t k = dest_band.lo; k < dest_band.hi; ++k) {
+    const std::size_t id = j_dest * n_t + k;
     const float c = dest_cost[id];
     if (c >= kInf) continue;
     if (best_k == n_t || c < best_cost - 1e-9f ||
@@ -67,7 +67,7 @@ std::optional<DpSolution> extract_dp_solution(
   std::size_t ck = best_k;
   while (true) {
     chain.push_back(RawNode{ci, cj, ck});
-    const std::uint32_t p = back[ci * layer_size + cell_of(cj, ck)];
+    const std::uint32_t p = back_at(ci, cj, ck);
     if (p == kNoPred) break;
     const bool dwell = pred_is_dwell(p);
     const std::size_t pj = pred_j(p);

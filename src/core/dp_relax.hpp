@@ -47,8 +47,9 @@ struct RevHop {
 };
 
 /// Everything one layer's relaxation reads. Destination pointers address
-/// layer i + 1, which the caller has already reset to +inf; source arrays
-/// are the gathered, sentinel-padded list of layer i.
+/// layer i + 1, whose live time-bin bands (every cell the kernel can write)
+/// the caller has already reset to +inf; source arrays are the gathered,
+/// sentinel-padded list of layer i.
 struct RelaxArgs {
   float* cost;
   float* time;

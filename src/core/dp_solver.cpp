@@ -36,8 +36,8 @@ constexpr double kInfD = std::numeric_limits<double>::infinity();
 constexpr double kIncumbentDtFactor = 16.0;
 
 /// Time bins of a grid: the horizon in dt_s steps, both ends included.
-std::size_t time_bins(const DpResolution& res) {
-  return static_cast<std::size_t>(std::ceil(res.horizon_s / res.dt_s)) + 1;
+std::size_t time_bins(double horizon_s, double dt_s) {
+  return static_cast<std::size_t>(std::ceil(horizon_s / dt_s)) + 1;
 }
 
 /// Smallest float `a` for which `holds(a)` is true, where `holds` is
@@ -98,24 +98,24 @@ void DpProblem::validate() const {
 
 namespace detail {
 
-/// One solve over a workspace. Per layer, the live (velocity, time-bin)
-/// cells are gathered into a compact source list (costs, times, window
-/// membership, and packed backpointers precomputed) and only those are
-/// relaxed; each destination layer is lazily reset to +inf just before the
-/// kernel relaxes into it, so no full-grid clear ever happens.
+/// One solve over a workspace. The constructor builds what does not depend
+/// on the time-bin width (grid geometry, events, model tables, the
+/// cost-to-go bound), once for every sweep; run() is one sweep on its own
+/// time axis. Per layer, the live cells of each row's band are gathered into
+/// a compact source list (costs, times, window membership, and packed
+/// backpointers precomputed) and only those are relaxed; each destination
+/// layer's bands are reset to +inf just before the kernel relaxes into it,
+/// so no full-grid or full-layer clear ever happens.
 class DpEngine {
  public:
-  /// `table_bins` sizes the workspace's state tables for that many time
-  /// bins when it exceeds this grid's own count.
-  DpEngine(const DpProblem& problem, DpWorkspace& ws, DpKernel kernel, std::size_t table_bins = 0)
-      : problem_(problem), ws_(ws), route_(*problem.route), energy_(*problem.energy),
-        res_(problem.resolution), kernel_(kernel), table_bins_(table_bins) {}
+  DpEngine(const DpProblem& problem, DpWorkspace& ws, DpKernel kernel);
 
-  /// One sweep. With problem_.dominance_pruning set, states that cannot
-  /// finish below `incumbent` are pruned (+inf: dead-end rows only).
-  std::optional<DpSolution> run(double incumbent);
+  /// One sweep on a time axis of `dt_s` bins. With problem_.dominance_pruning
+  /// set, states that cannot finish below `incumbent` are pruned (+inf:
+  /// dead-end rows only). `checksum` fills DpStats::table_checksum.
+  std::optional<DpSolution> run(double dt_s, double incumbent, bool checksum);
 
-  /// The sweep's stats, also after an infeasible sweep.
+  /// The last sweep's stats, also after an infeasible sweep.
   const DpStats& stats() const { return stats_; }
 
  private:
@@ -126,14 +126,23 @@ class DpEngine {
   void reset_state();
   bool relax_layer(std::size_t i);  // false: layer empty, solve infeasible
   void run_kernel(std::size_t i);  // relaxes layer i's source list into layer i + 1
+  void set_next_bands(std::size_t i, const RelaxArgs& args);
+  void reset_layer(std::size_t i);
+  void store_backpointers(std::size_t i);
   std::optional<DpSolution> extract_solution();
 
   std::size_t cell_of(std::size_t j, std::size_t k) const { return j * n_t_ + k; }
-  /// Mixes layer i, whose costs and times the one-layer tables hold, into
-  /// the table checksum.
+  const BinBand* bands_of(std::size_t i) const { return ws_.bands_.data() + i * n_v_; }
+  /// Time bin of a float arrival, exactly as the relaxation bins it.
+  std::size_t bin_of(float arrive) const {
+    const double elapsed = static_cast<double>(arrive) - problem_.depart_time.value();
+    return static_cast<std::size_t>(inv_dt_ != 0.0 ? elapsed * inv_dt_ : elapsed / dt_s_);
+  }
+  /// Mixes layer i, whose costs, times and backpointers the one-layer tables
+  /// hold, into the table checksum.
   void hash_layer(std::size_t i) {
-    detail::mix_state_layer(table_hash_, i, layer_size_, ws_.cost_.data(), ws_.time_.data(),
-                            ws_.back_.data() + i * layer_size_);
+    detail::mix_state_layer(table_hash_, i, n_v_, n_t_, ws_.cost_.data(), ws_.time_.data(),
+                            ws_.back_.data(), bands_of(i));
   }
 
   const DpProblem& problem_;
@@ -142,12 +151,13 @@ class DpEngine {
   const ev::EnergyModel& energy_;
   const DpResolution& res_;
   const DpKernel kernel_;
-  const std::size_t table_bins_;
 
-  // Grid geometry.
-  std::size_t n_hops_ = 0, n_layers_ = 0, n_v_ = 0, n_t_ = 0, layer_size_ = 0;
-  double ds_ = 0.0;
+  // Grid geometry. n_t_ and dt_s_ are the running sweep's; table_bins_ is
+  // the problem's own bin count, the most any sweep uses.
+  std::size_t n_hops_ = 0, n_layers_ = 0, n_v_ = 0, n_t_ = 0, table_bins_ = 0;
+  double ds_ = 0.0, dt_s_ = 0.0;
   std::size_t j_source_ = 0, j_dest_ = 0;
+  bool checksum_ = false;
 
   double lambda_ = 0.0, idle_mah_s_ = 0.0;
   float idle_step_cost_ = 0.0f;
@@ -159,8 +169,8 @@ class DpEngine {
   /// division and far cheaper in the time-binning hot path.
   double inv_dt_ = 0.0;
   /// Smallest float arrival time whose double-precision elapsed time reaches
-  /// the horizon (see run()); lets the vector kernel do the horizon check as
-  /// a single float compare.
+  /// the horizon (see the constructor); lets the vector kernel do the
+  /// horizon check as a single float compare.
   float over_thresh_f_ = std::numeric_limits<float>::infinity();
   /// bin_edge_[k]: smallest float arrival whose time bin is >= k, for
   /// k in [0, n_t] (see run()); built only when the vector kernel runs.
@@ -176,14 +186,76 @@ class DpEngine {
   double incumbent_ = kInfD;  ///< +inf: prune dead-end rows only
   double bound_slack_ = 0.0;  ///< float-rounding allowance per layer still to go
 
-  detail::TableHasher table_hash_;  ///< with checksum_tables: the layers hashed so far
+  detail::TableHasher table_hash_;  ///< with checksum: the layers hashed so far
   DpStats stats_;
 };
 
+DpEngine::DpEngine(const DpProblem& problem, DpWorkspace& ws, DpKernel kernel)
+    : problem_(problem), ws_(ws), route_(*problem.route), energy_(*problem.energy),
+      res_(problem.resolution), kernel_(kernel) {
+  // Grid geometry. The distance step is adjusted so layers divide the route
+  // length exactly.
+  n_hops_ = static_cast<std::size_t>(std::max(1.0, std::round(route_.length() / res_.ds_m)));
+  ds_ = route_.length() / static_cast<double>(n_hops_);
+  n_layers_ = n_hops_ + 1;
+  n_v_ = static_cast<std::size_t>(std::floor(route_.max_speed_limit() / res_.dv_ms)) + 1;
+  table_bins_ = time_bins(res_.horizon_s, res_.dt_s);
+  if (n_v_ >= (1u << 11) || table_bins_ >= (1u << 20))
+    throw std::invalid_argument("solve_dp: grid too large for backpointer packing");
+
+  // Per-layer event lookup.
+  event_at_.assign(n_layers_, nullptr);
+  for (const LayerEvent& e : problem_.events) {
+    if (e.layer >= n_layers_) throw std::invalid_argument("solve_dp: event layer out of range");
+    event_at_[e.layer] = &e;
+    if (e.type == LayerEvent::Type::kSignal && e.enforce_windows) {
+      last_window_layer_ = std::max(last_window_layer_, static_cast<std::ptrdiff_t>(e.layer));
+    }
+  }
+
+  // Idle cost plus the explicit value of time (see DpProblem); both apply to
+  // every second whether driving or waiting.
+  lambda_ = problem_.time_weight_mah_per_s;
+  idle_mah_s_ = ah_to_mah(as_to_ah(energy_.accessory_current_a())) + lambda_;
+
+  use_simd_ = kernel_ != DpKernel::kScalar;
+
+  // Exact float image of the horizon test: the relaxation checks
+  // `(double)arrive - depart >= horizon`, which is monotone in the float
+  // `arrive`, so it holds exactly from the smallest float that passes it.
+  {
+    const double depart = problem_.depart_time.value();
+    const double horizon = res_.horizon_s;
+    over_thresh_f_ = least_float_where(static_cast<float>(horizon + depart), [&](float a) {
+      return static_cast<double>(a) - depart >= horizon;
+    });
+  }
+
+  smooth_by_diff_.resize(n_v_);
+  for (std::size_t d = 0; d < n_v_; ++d) {
+    smooth_by_diff_[d] = static_cast<float>(problem_.smoothness_weight_mah_per_ms *
+                                            static_cast<double>(d) * res_.dv_ms);
+  }
+
+  // Boundary velocity levels (Eq. 7d by default; replans may start moving).
+  const auto snap_level = [&](double v) {
+    const auto j = static_cast<std::size_t>(std::lround(v / res_.dv_ms));
+    if (j >= n_v_) throw std::invalid_argument("solve_dp: boundary speed above the velocity grid");
+    return j;
+  };
+  j_source_ = snap_level(problem_.initial_speed.value());
+  j_dest_ = snap_level(problem_.final_speed.value());
+
+  build_model_tables();
+  if (problem_.dominance_pruning) build_cost_to_go();
+}
+
 // Fills the workspace's model tables from this solve's route, energy model
-// and grid. Every solve rebuilds them: the build is small next to the sweep,
-// and a table cached across solves would have to key on the energy model's
-// full content, which can change in place (set_powertrain_map).
+// and grid; no table depends on the time-bin width, so every sweep of the
+// solve shares them. Every solve rebuilds them: the build is small next to
+// the sweep, and a table cached across solves would have to key on the
+// energy model's full content, which can change in place
+// (set_powertrain_map).
 void DpEngine::build_model_tables() {
   const ev::VehicleParams& vp = energy_.params();
   const double a_min = vp.min_acceleration;
@@ -358,111 +430,72 @@ float DpEngine::keep_bound(std::size_t i, std::size_t j) const {
 }
 
 void DpEngine::reset_state() {
-  // No grid-wide clear: each destination layer is reset to +inf just before
-  // it is relaxed into, and time_/back_ are only ever read behind a finite
-  // cost, so stale contents from earlier solves are unreachable. A layer's
-  // costs and times are read only by its own dwell expansion and source
-  // gather (and the checksum), and the kernel relaxes from the gathered
-  // source list, so layer i + 1 overwrites layer i: the cost and time
-  // tables hold one layer and stay in cache. The destination scan finds the
-  // last layer in them, and extraction replays the path's times from the
-  // departure. The backtrack needs every layer's backpointers.
+  // No grid-wide clear: each destination layer's bands are reset to +inf
+  // just before it is relaxed into, nothing outside a band is read, and
+  // time_/back_ are only ever read behind a finite cost, so stale contents
+  // from earlier layers and solves are unreachable. A layer's costs, times
+  // and backpointers are read only by its own dwell expansion, backpointer
+  // copy and source gather (and the checksum), and the kernel relaxes from
+  // the gathered source list, so layer i + 1 overwrites layer i: the tables
+  // hold one layer and stay in cache. The destination scan finds the last
+  // layer in them, extraction replays the path's times from the departure,
+  // and the backtrack reads the arena. The arena is sized for the full grid
+  // but filled only band by band, so only that prefix of its pages is ever
+  // touched. The one-layer tables are small and value-initialized when they
+  // grow: the vector fast path loads, and writes back unchanged, cells next
+  // to its targets that may lie outside every band so far.
   const std::size_t layer_cells = n_v_ * std::max(n_t_, table_bins_);
-  ws_.cost_.grow_to(layer_cells);
-  ws_.time_.grow_to(layer_cells);
-  ws_.back_.grow_to(n_layers_ * layer_cells);
+  if (ws_.cost_.size() < layer_cells) {
+    ws_.cost_.resize(layer_cells);
+    ws_.time_.resize(layer_cells);
+    ws_.back_.resize(layer_cells);
+  }
+  ws_.back_arena_.grow_to(n_layers_ * layer_cells);
+  ws_.bands_.resize(n_layers_ * n_v_);
+  ws_.back_offset_.resize(n_layers_ * n_v_);
+  ws_.back_cells_ = 0;
 }
 
-std::optional<DpSolution> DpEngine::run(double incumbent) {
-  // Grid geometry. The distance step is adjusted so layers divide the route
-  // length exactly.
-  n_hops_ = static_cast<std::size_t>(std::max(1.0, std::round(route_.length() / res_.ds_m)));
-  ds_ = route_.length() / static_cast<double>(n_hops_);
-  n_layers_ = n_hops_ + 1;
-  n_v_ = static_cast<std::size_t>(std::floor(route_.max_speed_limit() / res_.dv_ms)) + 1;
-  n_t_ = time_bins(res_);
-  layer_size_ = n_v_ * n_t_;
-  if (n_v_ >= (1u << 11) || n_t_ >= (1u << 20))
-    throw std::invalid_argument("solve_dp: grid too large for backpointer packing");
-
-  // Per-layer event lookup.
-  event_at_.assign(n_layers_, nullptr);
-  last_window_layer_ = -1;
-  for (const LayerEvent& e : problem_.events) {
-    if (e.layer >= n_layers_) throw std::invalid_argument("solve_dp: event layer out of range");
-    event_at_[e.layer] = &e;
-    if (e.type == LayerEvent::Type::kSignal && e.enforce_windows) {
-      last_window_layer_ = std::max(last_window_layer_, static_cast<std::ptrdiff_t>(e.layer));
-    }
-  }
-
-  // Idle cost plus the explicit value of time (see DpProblem); both apply to
-  // every second whether driving or waiting.
-  lambda_ = problem_.time_weight_mah_per_s;
-  idle_mah_s_ = ah_to_mah(as_to_ah(energy_.accessory_current_a())) + lambda_;
-  idle_step_cost_ = static_cast<float>(idle_mah_s_ * res_.dt_s);
-
+std::optional<DpSolution> DpEngine::run(double dt_s, double incumbent, bool checksum) {
+  dt_s_ = dt_s;
+  n_t_ = time_bins(res_.horizon_s, dt_s_);
+  checksum_ = checksum;
+  idle_step_cost_ = static_cast<float>(idle_mah_s_ * dt_s_);
   int dt_exp = 0;
-  inv_dt_ = std::frexp(res_.dt_s, &dt_exp) == 0.5 ? 1.0 / res_.dt_s : 0.0;
+  inv_dt_ = std::frexp(dt_s_, &dt_exp) == 0.5 ? 1.0 / dt_s_ : 0.0;
 
-  use_simd_ = kernel_ != DpKernel::kScalar;
-
-  // Exact float images of the horizon test and of the time binning. The
-  // scalar relaxation checks `(double)arrive - depart >= horizon` and bins
-  // with `(size_t)(((double)arrive - depart) * inv_dt)` (or `/ dt`). Both are
-  // monotone in the float `arrive`, so each threshold is the smallest float
-  // that reaches it: the horizon test is `arrive >= over_thresh_f_`, and the
-  // bin is k exactly when bin_edge_[k] <= arrive < bin_edge_[k + 1]. The
-  // vector kernel then tests and bins with float compares alone,
-  // bit-identically. Bin k >= 1 is reached iff the quotient is >= k; edge 0
-  // asks for a quotient >= 0 (tighter than trunc's > -1), which is only ever
-  // used as a lower bound, and arrivals never precede the departure.
-  {
+  // Exact float image of the time binning. The scalar relaxation bins with
+  // `(size_t)(((double)arrive - depart) * inv_dt)` (or `/ dt`), monotone in
+  // the float `arrive`, so the bin is k exactly when bin_edge_[k] <= arrive
+  // < bin_edge_[k + 1], each edge the smallest float that reaches it. The
+  // vector kernel then bins with float compares alone, bit-identically.
+  // Bin k >= 1 is reached iff the quotient is >= k; edge 0 asks for a
+  // quotient >= 0 (tighter than trunc's > -1), which is only ever used as a
+  // lower bound, and arrivals never precede the departure.
+  if (use_simd_) {
     const double depart = problem_.depart_time.value();
-    const double horizon = res_.horizon_s;
-    const double dt_s = res_.dt_s;
     const double inv_dt = inv_dt_;
-    over_thresh_f_ = least_float_where(static_cast<float>(horizon + depart), [&](float a) {
-      return static_cast<double>(a) - depart >= horizon;
-    });
-    if (use_simd_) {
-      bin_edge_.resize(n_t_ + 1);
-      for (std::size_t k = 0; k <= n_t_; ++k) {
-        const auto kd = static_cast<double>(k);
-        bin_edge_[k] = least_float_where(static_cast<float>(depart + kd * dt_s), [&](float a) {
-          const double elapsed = static_cast<double>(a) - depart;
-          return (inv_dt != 0.0 ? elapsed * inv_dt : elapsed / dt_s) >= kd;
-        });
-      }
+    bin_edge_.resize(n_t_ + 1);
+    for (std::size_t k = 0; k <= n_t_; ++k) {
+      const auto kd = static_cast<double>(k);
+      bin_edge_[k] = least_float_where(static_cast<float>(depart + kd * dt_s_), [&](float a) {
+        const double elapsed = static_cast<double>(a) - depart;
+        return (inv_dt != 0.0 ? elapsed * inv_dt : elapsed / dt_s_) >= kd;
+      });
     }
   }
 
-  smooth_by_diff_.resize(n_v_);
-  for (std::size_t d = 0; d < n_v_; ++d) {
-    smooth_by_diff_[d] = static_cast<float>(problem_.smoothness_weight_mah_per_ms *
-                                            static_cast<double>(d) * res_.dv_ms);
-  }
-
-  // Boundary velocity levels (Eq. 7d by default; replans may start moving).
-  const auto snap_level = [&](double v) {
-    const auto j = static_cast<std::size_t>(std::lround(v / res_.dv_ms));
-    if (j >= n_v_) throw std::invalid_argument("solve_dp: boundary speed above the velocity grid");
-    return j;
-  };
-  j_source_ = snap_level(problem_.initial_speed.value());
-  j_dest_ = snap_level(problem_.final_speed.value());
-
-  build_model_tables();
-  if (problem_.dominance_pruning) {
-    build_cost_to_go();
-    set_incumbent(incumbent);
-  }
+  if (problem_.dominance_pruning) set_incumbent(incumbent);
   reset_state();
 
-  // Source state at the departure time (layer 0 cleared in full: its source
-  // scan visits every row).
-  std::fill(ws_.cost_.data(), ws_.cost_.data() + layer_size_, kInf);
-  const std::size_t id = cell_of(j_source_, 0);  // layer 0 base is 0
+  // Source state at the departure time. Layer 0's bands: the source cell,
+  // and all of row 0 from it when the source is standing (dwell chains).
+  BinBand* bands0 = ws_.bands_.data();
+  std::fill(bands0, bands0 + n_v_, BinBand{});
+  bands0[j_source_] =
+      BinBand{0, j_source_ == 0 ? static_cast<std::uint32_t>(n_t_) : std::uint32_t{1}};
+  reset_layer(0);
+  const std::size_t id = cell_of(j_source_, 0);
   ws_.cost_[id] = 0.0f;
   ws_.time_[id] = static_cast<float>(problem_.depart_time.value());
   ws_.back_[id] = kNoPred;
@@ -492,38 +525,67 @@ std::optional<DpSolution> DpEngine::run(double incumbent) {
   pruned_ctr.add(static_cast<long>(stats_.pruned_states));
 
   if (!feasible) return std::nullopt;
-  if (problem_.checksum_tables) {
-    // Every cell of every layer was initialized (layer 0 by the full fill,
-    // later layers by the lazy reset before each relaxation), so the
-    // finite-cell scan never reads stale cost values. Layers 0 .. n - 2 were
-    // hashed just before the kernel overwrote them.
+  store_backpointers(n_layers_ - 1);
+  if (checksum_) {
+    // Layers 0 .. n - 2 were hashed just before the kernel overwrote them.
     hash_layer(n_layers_ - 1);
     stats_.table_checksum = table_hash_.value();
   }
   return extract_solution();
 }
 
+// Resets layer i's bands to +inf (no memset: +inf is not a repeated-byte
+// pattern). Cells outside them keep whatever an earlier layer or solve left.
+void DpEngine::reset_layer(std::size_t i) {
+  const BinBand* bands = bands_of(i);
+  float* cost = ws_.cost_.data();
+  for (std::size_t j = 0; j < n_v_; ++j) {
+    std::fill(cost + cell_of(j, bands[j].lo), cost + cell_of(j, bands[j].hi), kInf);
+  }
+}
+
+// Copies layer i's backpointer bands from the one-layer table into the
+// arena, one after another, and records where each row's band starts.
+void DpEngine::store_backpointers(std::size_t i) {
+  const BinBand* bands = bands_of(i);
+  std::size_t* offset = ws_.back_offset_.data() + i * n_v_;
+  std::uint32_t* arena = ws_.back_arena_.data();
+  std::size_t filled = ws_.back_cells_;
+  for (std::size_t j = 0; j < n_v_; ++j) {
+    const std::size_t len = bands[j].hi - bands[j].lo;
+    offset[j] = filled;
+    std::memcpy(arena + filled, ws_.back_.data() + cell_of(j, bands[j].lo),
+                len * sizeof(std::uint32_t));
+    filled += len;
+  }
+  ws_.back_cells_ = filled;
+}
+
 bool DpEngine::relax_layer(std::size_t i) {
-  const std::size_t base = i * layer_size_;
   const LayerEvent* event = event_at_[i];
   const bool is_sign = event && event->type == LayerEvent::Type::kStopSign;
   const bool is_signal = event && event->type == LayerEvent::Type::kSignal;
+  const BinBand* bands = bands_of(i);
   float* layer_cost = ws_.cost_.data();
   float* layer_time = ws_.time_.data();
+  std::uint32_t* layer_back = ws_.back_.data();
 
   // Dwell expansion: waiting in place at v = 0 (time bins ascending so
-  // chains of waits propagate within the layer).
-  for (std::size_t k = 0; k + 1 < n_t_; ++k) {
+  // chains of waits propagate within the layer). Row 0's band runs to n_t
+  // for these chains.
+  for (std::size_t k = bands[0].lo; k + 1 < bands[0].hi; ++k) {
     if (layer_cost[k] >= kInf) continue;
     const float new_cost = layer_cost[k] + idle_step_cost_;
     if (new_cost < layer_cost[k + 1]) {
       layer_cost[k + 1] = new_cost;
-      layer_time[k + 1] = layer_time[k] + static_cast<float>(res_.dt_s);
-      ws_.back_[base + k + 1] = pack_pred(0, k, /*dwell=*/true);
+      layer_time[k + 1] = layer_time[k] + static_cast<float>(dt_s_);
+      layer_back[k + 1] = pack_pred(0, k, /*dwell=*/true);
     }
   }
+  // Layer i's backpointers are final; the kernel overwrites them next.
+  store_backpointers(i);
 
-  // Source gather: one row-major scan over the layer's live cells, emitting
+  // Source gather: one row-major scan over the layer's bands, emitting
   // compact per-source arrays (cost with the mandatory stop-sign charge
   // folded in, crossing time, window membership, packed backpointer) so the
   // relaxation below is pure sequential loads. The float additions mirror
@@ -563,6 +625,8 @@ bool DpEngine::relax_layer(std::size_t i) {
   std::uint32_t n = 0;
   for (std::size_t j = 0; j < j_end; ++j) {
     ws_.row_begin_[j] = n;
+    const std::size_t k_lo = bands[j].lo;
+    const std::size_t k_hi = bands[j].hi;
     const float* row_cost = layer_cost + j * n_t_;
     const float* row_time = layer_time + j * n_t_;
     float row_min = kInf;
@@ -571,7 +635,7 @@ bool DpEngine::relax_layer(std::size_t i) {
     if (!check_windows && !is_sign) {
       // Hot variant: no dwell, no window membership; arithmetic is the
       // same `c0 + extra_f` (extra_f == 0 here) so table bits cannot move.
-      for (std::size_t k = 0; k < n_t_; ++k) {
+      for (std::size_t k = k_lo; k < k_hi; ++k) {
         const float c0 = row_cost[k];
         if (c0 >= kInf) continue;
         if (c0 > keep) {
@@ -592,7 +656,7 @@ bool DpEngine::relax_layer(std::size_t i) {
       }
       continue;
     }
-    for (std::size_t k = 0; k < n_t_; ++k) {
+    for (std::size_t k = k_lo; k < k_hi; ++k) {
       const float c0 = row_cost[k];
       if (c0 >= kInf) continue;
       if (c0 > keep) {
@@ -642,9 +706,9 @@ bool DpEngine::relax_layer(std::size_t i) {
   }
 
   // Gather relaxation into layer i+1, every destination row in one kernel
-  // call. It overwrites this layer's costs and times, so they are hashed
-  // first.
-  if (problem_.checksum_tables) hash_layer(i);
+  // call. It overwrites this layer's costs, times and backpointers, so they
+  // are hashed first.
+  if (checksum_) hash_layer(i);
   run_kernel(i);
   return true;
 }
@@ -653,17 +717,11 @@ void DpEngine::run_kernel(std::size_t i) {
   const LayerEvent* event = event_at_[i];
   const LayerEvent* next_event = event_at_[i + 1];
   const std::size_t table_base = static_cast<std::size_t>(ws_.layer_class_[i]) * n_v_ * n_v_;
-  const std::size_t next_base = (i + 1) * layer_size_;
-  float* cost = ws_.cost_.data();
-
-  // Lazy reset: layer i + 1 is cleared just before it is relaxed into. (No
-  // memset: +inf is not a repeated-byte pattern.)
-  std::fill(cost, cost + layer_size_, kInf);
 
   const RelaxArgs args{
-      .cost = cost,
+      .cost = ws_.cost_.data(),
       .time = ws_.time_.data(),
-      .back = ws_.back_.data() + next_base,
+      .back = ws_.back_.data(),
       .n_v = n_v_,
       .n_t = n_t_,
       .j_dest = j_dest_,
@@ -688,11 +746,15 @@ void DpEngine::run_kernel(std::size_t i) {
       .src_inside = ws_.src_inside_.data(),
       .depart = problem_.depart_time.value(),
       .horizon = res_.horizon_s,
-      .dt_s = res_.dt_s,
+      .dt_s = dt_s_,
       .inv_dt = inv_dt_,
       .over_thresh_f = over_thresh_f_,
       .bin_edge = bin_edge_.data(),
   };
+  // Lazy reset: layer i + 1's bands are cleared just before it is relaxed
+  // into, and they hold every cell the kernel can write.
+  set_next_bands(i, args);
+  reset_layer(i + 1);
 #if defined(EVVO_DP_AVX2_KERNEL)
   const RelaxCounts done =
       kernel_ == DpKernel::kAvx2 ? avx2::relax_kernel(args) : base::relax_kernel(args);
@@ -714,6 +776,45 @@ void DpEngine::run_kernel(std::size_t i) {
   }
 }
 
+// Bands of layer i + 1 from layer i's gathered source list, under the
+// kernel's rules: a destination row the speed-limit, stop-sign or terminal
+// filter rejects gets none; otherwise its band runs from the bin of the
+// earliest arrival over its hops to the bin of the latest, clipped at the
+// horizon. Source times ascend within a row, and the float add and the
+// binning are monotone, so each hop's arrivals bin between those of its
+// row's first and last source. Row 0 runs on to n_t for the dwell chains.
+void DpEngine::set_next_bands(std::size_t i, const RelaxArgs& args) {
+  BinBand* next = ws_.bands_.data() + (i + 1) * n_v_;
+  const std::uint32_t* row_begin = ws_.row_begin_.data();
+  const float* src_time = ws_.src_time_.data();
+  const double depart = problem_.depart_time.value();
+  const auto n_t = static_cast<std::uint32_t>(n_t_);
+  for (std::size_t j2 = 0; j2 < n_v_; ++j2) {
+    next[j2] = BinBand{};
+    const double v2 = static_cast<double>(j2) * res_.dv_ms;
+    if (v2 > args.next_limit + 1e-9) continue;
+    if (args.next_is_sign && j2 != 0) continue;
+    if (args.next_is_dest && j2 != j_dest_) continue;
+    float first = kInf;
+    float last = -kInf;
+    for (std::uint32_t h = ws_.rev_begin_[j2]; h < ws_.rev_begin_[j2 + 1]; ++h) {
+      const RevHop hop = ws_.rev_hops_[h];
+      const std::size_t j = hop.j_from;
+      if (args.is_sign && j != 0) continue;
+      if (row_begin[j] == row_begin[j + 1]) continue;
+      first = std::min(first, src_time[row_begin[j]] + hop.dt);
+      last = std::max(last, src_time[row_begin[j + 1] - 1] + hop.dt);
+    }
+    if (!(first < kInf) || static_cast<double>(first) - depart >= res_.horizon_s) continue;
+    const auto lo = static_cast<std::uint32_t>(bin_of(first));
+    const std::uint32_t hi =
+        j2 == 0 || static_cast<double>(last) - depart >= res_.horizon_s
+            ? n_t
+            : std::min(static_cast<std::uint32_t>(bin_of(last) + 1), n_t);
+    next[j2] = BinBand{lo, hi};
+  }
+}
+
 std::optional<DpSolution> DpEngine::extract_solution() {
   // The duration of the hop j -> j2, as the relaxation added it. The
   // backtrack follows relaxed hops only, so the lookup always succeeds.
@@ -723,10 +824,15 @@ std::optional<DpSolution> DpEngine::extract_solution() {
     }
     throw std::logic_error("solve_dp: backtrack followed a hop the grid does not have");
   };
+  const auto back_at = [this](std::size_t i, std::size_t j, std::size_t k) {
+    const std::size_t row = i * n_v_ + j;
+    return ws_.back_arena_[ws_.back_offset_[row] + k - ws_.bands_[row].lo];
+  };
   return detail::extract_dp_solution(
       route_, energy_, event_at_, problem_.events.size(), ds_, res_.dv_ms, n_layers_, n_t_,
-      layer_size_, j_dest_, stats_, ws_.cost_.data(), ws_.time_.data(), ws_.back_.data(),
-      static_cast<float>(problem_.depart_time.value()), static_cast<float>(res_.dt_s), hop_dt);
+      j_dest_, bands_of(n_layers_ - 1)[j_dest_], stats_, ws_.cost_.data(), ws_.time_.data(),
+      back_at, static_cast<float>(problem_.depart_time.value()), static_cast<float>(dt_s_),
+      hop_dt);
 }
 
 }  // namespace detail
@@ -747,33 +853,33 @@ std::optional<DpSolution> solve_on(const DpProblem& problem, DpWorkspace& ws,
   static telemetry::Counter& fallback_ctr = telemetry::counter("dp.bound_fallbacks");
   const telemetry::TraceSpan solve_span(cold_hist, "dp.solve_cold");
 
+  // The model tables and the cost-to-go bound do not depend on the time-bin
+  // width, so one engine builds them once for every sweep. It also sizes the
+  // state tables for the problem's own grid in every sweep, so a fresh
+  // workspace allocates them once: a smaller allocation freed right away
+  // would raise glibc's dynamic mmap threshold and keep later frees in the
+  // heap.
+  detail::DpEngine engine(problem, ws, kernel);
   DpStats work;
-  const auto sweep = [&](const DpProblem& p, double ub) {
-    // Every sweep sizes the state tables for `problem`'s grid, so a fresh
-    // workspace allocates them once: a smaller allocation freed right away
-    // would raise glibc's dynamic mmap threshold and keep later frees in
-    // the heap.
-    detail::DpEngine engine(p, ws, kernel, time_bins(problem.resolution));
-    std::optional<DpSolution> solution = engine.run(ub);
+  const auto sweep = [&](double dt_s, double ub, bool checksum) {
+    std::optional<DpSolution> solution = engine.run(dt_s, ub, checksum);
     work.relaxations += engine.stats().relaxations;
     work.frontier_states += engine.stats().frontier_states;
     work.pruned_states += engine.stats().pruned_states;
     return solution;
   };
 
+  const double dt_s = problem.resolution.dt_s;
   if (problem.dominance_pruning && !incumbent) {
-    DpProblem coarse = problem;
-    coarse.resolution.dt_s *= kIncumbentDtFactor;
-    coarse.checksum_tables = false;
-    const std::optional<DpSolution> plan = sweep(coarse, kInfD);
+    const std::optional<DpSolution> plan = sweep(dt_s * kIncumbentDtFactor, kInfD, false);
     incumbent = plan ? plan->stats.best_cost_mah : kInfD;
   }
   const double ub = incumbent.value_or(kInfD);
-  std::optional<DpSolution> solution = sweep(problem, ub);
+  std::optional<DpSolution> solution = sweep(dt_s, ub, problem.checksum_tables);
   if (ub < kInfD && !(solution && solution->stats.best_cost_mah <= ub &&
                       std::abs(solution->stats.best_cost_mah) >= 1.0)) {
     fallback_ctr.add(1);
-    solution = sweep(problem, kInfD);
+    solution = sweep(dt_s, kInfD, problem.checksum_tables);
   }
   if (solution) {
     solution->stats.relaxations = work.relaxations;

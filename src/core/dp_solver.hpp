@@ -22,6 +22,14 @@
 //    layer are expanded. Most of the n_v x n_t table is unreachable -
 //    especially in early layers, where the arrival-time spread is narrow -
 //    so the frontier is a small fraction of the grid.
+//  - Banded layers: each (layer, velocity) row has a live time-bin band
+//    [lo, hi), computed before a layer is relaxed into from the earliest and
+//    latest source of every hop that feeds the row (source times ascend
+//    within a row, and the float add and the binning are monotone), so it
+//    holds every cell the relaxation can write. The reset, the dwell, the
+//    source gather, the table checksum and the destination scan touch band
+//    cells only, and each layer's backpointers are kept only inside its
+//    bands, packed one layer after another for the backtrack.
 //  - Dominance pruning: past the last enforced signal window, a state is
 //    dropped when an earlier-or-equal-time state at the same (layer,
 //    velocity) is strictly cheaper; remaining transition costs are then
@@ -76,6 +84,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "core/dp_common.hpp"
 #include "core/dp_relax.hpp"
 #include "core/penalty.hpp"
 #include "core/planned_profile.hpp"
@@ -153,11 +162,11 @@ struct DpProblem {
   /// bit-identical plans and best costs.
   bool dominance_pruning = true;
 
-  /// Checksum the final state tables into DpStats::table_checksum (see
-  /// dp_common.hpp). Off by default: the scan touches the whole grid, which
-  /// the lazy-reset data path otherwise avoids. The check harness uses it to
-  /// assert table-level identity across relaxation kernels and against the
-  /// naive reference solver.
+  /// Checksum the state tables into DpStats::table_checksum (see
+  /// dp_common.hpp). Off by default: it reads every band cell of every
+  /// layer a second time. The check harness uses it to assert table-level
+  /// identity across relaxation kernels and against the naive reference
+  /// solver, whose full rows hash the same as the banded ones.
   bool checksum_tables = false;
 
   void validate() const;
@@ -184,24 +193,25 @@ struct [[nodiscard]] DpSolution {
   DpStats stats;
 };
 
-/// Reusable solver memory: the (layers x velocities x time-bins) state
-/// tables, the per-layer source lists, and the model-derived cost tables.
+/// Reusable solver memory: the state tables, the per-layer source lists,
+/// and the model-derived cost tables.
 ///
-/// The state tables are the dominant per-solve cost of the naive solver
-/// (three multi-megabyte allocations plus an O(N) infinity fill). A
-/// workspace keeps them allocated across solves and skips the grid-wide
-/// clear: each destination layer is reset to +inf just before it is relaxed
-/// into, and time_/back_ are only ever read behind a finite cost, so no
-/// cell is ever read stale. A layer's costs and times are read only while
-/// it is the layer being relaxed (the kernel reads the gathered source
-/// list), so the cost and time tables hold one layer each, overwritten by
-/// the next, and stay in cache; extraction replays the path's times.
-/// Backpointers keep every layer for the backtrack. The model tables
-/// (feasible hops per velocity level, per-grade-class transition costs) are
-/// rebuilt by every solve from its own route, energy model and grid; only
-/// their allocations carry over. A build costs tens of microseconds against
-/// tens of milliseconds for the solve, so no solve depends on what an
-/// earlier one left behind.
+/// No state table is ever cleared in full. Each (layer, velocity) row has a
+/// live time-bin band (see the header comment); a layer's bands are reset
+/// to +inf just before it is relaxed into, nothing outside them is read,
+/// and time and backpointer cells are only ever read behind a finite cost,
+/// so no cell is ever read stale. A layer's costs and times are read only
+/// while it is the layer being relaxed (the kernel reads the gathered source
+/// list), so the cost, time and backpointer tables hold one layer each,
+/// overwritten by the next, and stay in cache; extraction replays the path's
+/// times. For the backtrack, each layer's backpointer bands are copied into
+/// an arena after its dwell expansion, one band after another. The model
+/// tables (feasible hops per velocity level, per-grade-class transition
+/// costs) and the cost-to-go bound are rebuilt by every solve, once, from
+/// its own route, energy model and grid, and serve all its sweeps; only
+/// their allocations carry over. A build costs well under a millisecond
+/// against tens of milliseconds for the solve, so no solve depends on what
+/// an earlier one left behind.
 ///
 /// A workspace is NOT thread-safe: one solve at a time per workspace.
 /// VelocityPlanner keeps a pool of them so concurrent plan() calls each
@@ -209,11 +219,12 @@ struct [[nodiscard]] DpSolution {
 namespace detail {
 
 /// Growable buffer that never value-initializes: growing to N elements is
-/// one allocation, not an allocation plus an N-element memset. The DP state
-/// tables are tens of megabytes and every live cell is written before it is
-/// read (layers are +inf-filled just before they are relaxed into), so the zero-fill a
-/// std::vector would do on first use is pure page-touching waste. Growth
-/// discards contents - callers grow only between solves.
+/// one allocation, not an allocation plus an N-element memset. It holds the
+/// backpointer arena, which is sized for the full layers x velocities x bins
+/// grid but of which a solve writes only its bands, a prefix of a tenth or
+/// so, and reads only what it wrote: the zero-fill a std::vector would do
+/// would touch every page, while untouched pages are never made resident.
+/// Growth discards contents - callers grow only between solves.
 template <typename T>
 class UninitBuffer {
  public:
@@ -241,10 +252,16 @@ class DpWorkspace {
   DpWorkspace(const DpWorkspace&) = delete;
   DpWorkspace& operator=(const DpWorkspace&) = delete;
 
-  /// Bytes held by the per-solve state tables (diagnostics).
+  /// Backpointer cells the last solve kept in its final sweep: the cells of
+  /// every layer's bands (diagnostics).
+  std::size_t backpointer_cells() const { return back_cells_; }
+
+  /// Bytes of state tables the last solve used: the one-layer cost, time and
+  /// backpointer tables plus the arena cells it filled, not the arena's
+  /// reserved size (diagnostics).
   std::size_t state_bytes() const {
-    return cost_.size() * sizeof(float) + time_.size() * sizeof(float) +
-           back_.size() * sizeof(std::uint32_t);
+    return (cost_.size() + time_.size()) * sizeof(float) +
+           (back_.size() + back_cells_) * sizeof(std::uint32_t);
   }
 
  private:
@@ -261,10 +278,14 @@ class DpWorkspace {
   std::vector<double> layer_limit_;         ///< per-layer posted speed limit
   std::vector<double> cost_to_go_;          ///< [layer][v] lower bound on the cost to finish
 
-  // --- per-solve state (each layer reset lazily before it is relaxed into) ---
-  detail::UninitBuffer<float> cost_;  ///< one layer, overwritten by each in turn
-  detail::UninitBuffer<float> time_;  ///< one layer, like cost_
-  detail::UninitBuffer<std::uint32_t> back_;
+  // --- per-solve state (each layer's bands reset just before it is relaxed into) ---
+  std::vector<float> cost_;                    ///< one layer, overwritten by each in turn
+  std::vector<float> time_;                    ///< one layer, like cost_
+  std::vector<std::uint32_t> back_;            ///< one layer, like cost_
+  detail::UninitBuffer<std::uint32_t> back_arena_;  ///< every layer's back_ bands, packed
+  std::vector<detail::BinBand> bands_;         ///< [layer][v] live time-bin band
+  std::vector<std::size_t> back_offset_;       ///< [layer][v] arena index of the band's lo cell
+  std::size_t back_cells_ = 0;                 ///< arena cells filled by the last sweep
 
   // --- per-layer scratch: compact source list in (j, k)-lex order ---
   std::vector<std::uint32_t> src_pred_;     ///< packed backpointer (j << 20 | k)

@@ -269,6 +269,26 @@ TEST(DpSolver, BoundPruningCutsTheGoldenProblemsRelaxations) {
   EXPECT_LE(share, 0.15) << pruned->stats.relaxations << " of " << full->stats.relaxations;
 }
 
+TEST(DpWorkspace, BackpointerBandsKeepATenthOfTheGoldenGrid) {
+  // Backpointers are kept only inside each row's live time-bin band. The
+  // count is deterministic (every kernel, every build): the golden problem's
+  // pruned solve keeps 277231 of its 2838381 grid cells (0.098). The
+  // workspace reports the bytes the solve used, not the full grid its
+  // backpointer arena reserves.
+  Us25GoldenProblem golden;
+  DpProblem& problem = golden.problem;
+  problem.checksum_tables = false;
+  DpWorkspace workspace;
+  const auto solution = solve_dp(problem, workspace);
+  ASSERT_TRUE(solution.has_value());
+  const DpStats& stats = solution->stats;
+  const double grid = static_cast<double>(stats.layers * stats.velocity_levels * stats.time_bins);
+  const auto cells = static_cast<double>(workspace.backpointer_cells());
+  EXPECT_LE(cells / grid, 0.12) << cells << " of " << grid;
+  EXPECT_LT(static_cast<double>(workspace.state_bytes()),
+            0.2 * grid * static_cast<double>(sizeof(std::uint32_t)));
+}
+
 TEST(DpWorkspace, ReusedWorkspaceFollowsEnergyModelChanges) {
   // The model tables are a function of the energy model's content, not of
   // its address: a workspace reused after the model changes in place, or
@@ -736,6 +756,51 @@ TEST(DpWorkspace, ReuseAcrossSolvesAndProblems) {
     EXPECT_TRUE(profiles_bit_identical(b1->profile, b2->profile)) << "round " << round;
   }
   EXPECT_GT(workspace.state_bytes(), 0u);
+}
+
+TEST(DpWorkspace, StaleCellsOutsideTheBandsNeverReachASolve) {
+  // Cells outside a layer's live time-bin bands keep whatever an earlier
+  // layer or solve left there. Problems whose bands sit at different bins,
+  // on grids of different sizes, take turns on one workspace: each must
+  // hash its tables and plan exactly as a fresh workspace does.
+  Scenario early(3), late(3, 150.0);
+  const road::Route flat = flat_route(1500.0);
+  const road::Route short_flat = flat_route(600.0);
+  const ev::EnergyModel energy;
+  DpProblem replan = base_problem(flat, energy);
+  replan.initial_speed = MetersPerSecond(8.0);  // a mid-route replan leaves moving
+  DpProblem sign = base_problem(flat, energy);
+  LayerEvent stop;
+  stop.type = LayerEvent::Type::kStopSign;
+  stop.layer = 60;  // 600 m
+  stop.dwell_s = 3.0;
+  sign.events = {stop};
+  DpProblem short_horizon = base_problem(short_flat, energy);
+  short_horizon.resolution.horizon_s = 90.0;
+
+  std::vector<DpProblem*> problems = {&early.problem, &replan, &late.problem, &sign,
+                                      &short_horizon};
+  std::vector<DpSolution> fresh;
+  for (DpProblem* p : problems) {
+    p->checksum_tables = true;
+    auto solution = solve_dp(*p);
+    ASSERT_TRUE(solution.has_value());
+    EXPECT_NE(solution->stats.table_checksum, 0u);
+    fresh.push_back(std::move(*solution));
+  }
+  DpWorkspace shared;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t n = 0; n < problems.size(); ++n) {
+      const std::size_t idx = round == 0 ? n : problems.size() - 1 - n;
+      const auto solution = solve_dp(*problems[idx], shared);
+      ASSERT_TRUE(solution.has_value()) << "problem " << idx << " round " << round;
+      EXPECT_TRUE(same_stats(solution->stats, fresh[idx].stats))
+          << "problem " << idx << " round " << round << " checksum " << std::hex
+          << solution->stats.table_checksum << " vs fresh " << fresh[idx].stats.table_checksum;
+      EXPECT_TRUE(profiles_bit_identical(solution->profile, fresh[idx].profile))
+          << "problem " << idx << " round " << round;
+    }
+  }
 }
 
 }  // namespace
